@@ -3,16 +3,16 @@
 //! ```text
 //! cargo run --release --offline --manifest-path pipeline-bench/Cargo.toml -- \
 //!     --workload <paper-pipeline|network-grid|attack-search> \
-//!     --seed <n> --seconds <s> --trace <0|1> [--threads <n>]
+//!     --seed <n> --seconds <s> --trace <0|1>
 //! cargo run --release --offline --manifest-path pipeline-bench/Cargo.toml -- \
 //!     --workload <name> --capture
 //! ```
 //!
 //! Run from the repository root. One client issues passes back to back
 //! (a closed loop) through the public `Runner::run_sweep`, the runner
-//! using `--threads` workers (default: the machine's parallelism). A pass
+//! using as many workers as the machine has cores (`nproc`). A pass
 //! runs every sweep of the workload once; `--seed` becomes each sweep's
-//! `seed` and `demand.seed`.
+//! `seed` and, through `Workload::demand_seed`, its `demand.seed`.
 //!
 //! Every run first times [`SETUP_REPS`] cold `DemandModel::synthetic_seeded`
 //! calls (`setup_s`, the one-time cost a `scenario-runner` process pays
@@ -150,16 +150,12 @@ fn parse_args() -> Result<Args, Box<dyn Error>> {
                     _ => return Err(format!("--trace takes 0 or 1, not `{value}`").into()),
                 }
             }
-            "--threads" => args.threads = value.parse()?,
             _ => return Err(format!("unknown argument `{flag}`").into()),
         }
     }
     args.workload = workload.ok_or("--workload is required")?;
     if !(args.seconds.is_finite() && args.seconds >= 0.0) {
         return Err("--seconds must be a non-negative number".into());
-    }
-    if args.threads == 0 {
-        return Err("--threads must be at least 1".into());
     }
     Ok(args)
 }
