@@ -14,11 +14,13 @@
 //! runs every sweep of the workload once; `--seed` becomes each sweep's
 //! `seed` and, through `Workload::demand_seed`, its `demand.seed`.
 //!
-//! Every run first times [`SETUP_REPS`] cold `DemandModel::synthetic_seeded`
-//! calls (`setup_s`, the one-time cost a `scenario-runner` process pays
-//! before its first point), then runs one untimed warm-up pass that fills
-//! the runner's demand cache, then measures passes for `--seconds`. Every
-//! pass's report bytes go through the byte gate: at seed
+//! `setup_s` is the one-time cost a `scenario-runner` process pays before
+//! its first point: a cold `DemandModel::synthetic_seeded` call. Every run
+//! warms up with one untimed such call and one untimed pass that fills the
+//! runner's demand cache; then, for `--seconds`, it times a cold call and
+//! a pass, in turn. The set-up samples thus span the whole run, as the
+//! pass samples do, so a burst of host load moves the median of neither.
+//! Every pass's report bytes go through the byte gate: at seed
 //! [`workload::REFERENCE_SEED`] against the committed references, at any
 //! other seed against the warm-up pass of the same run.
 //!
@@ -47,10 +49,8 @@ use std::time::{Duration, Instant};
 use trace::{Replay, Tracer, COUNTS};
 use workload::{failed_points, Pass, Workload, REFERENCE_SEED};
 
-/// Cold demand-model builds per run; `setup_s` is their median.
-const SETUP_REPS: usize = 3;
-
-/// Measured passes per run at the least, however short `--seconds` is.
+/// Measured passes per run at the least, however short `--seconds` is;
+/// each is preceded by a timed cold demand-model build.
 const MIN_PASSES: usize = 3;
 
 /// The end-to-end metrics `--trace 0` reports.
@@ -175,18 +175,11 @@ fn run() -> Result<(), Box<dyn Error>> {
     let sweeps = args.workload.sweeps(args.seed)?;
     let mut tr = Tracer::new();
 
-    // Set-up, counted once: the direct cold builds, never the runner's
+    // Set-up is timed on direct cold builds only, never on the runner's
     // own `demand.model` rows (which a second worker inflates by waiting
-    // on the shared-model lock).
-    let demand_seed = args.workload.demand_seed(args.seed);
-    let mut setup = Vec::with_capacity(SETUP_REPS);
-    let mut model = None;
-    for _ in 0..SETUP_REPS {
-        let (built, secs) = tr.timed("demand.model", || DemandModel::synthetic_seeded(demand_seed));
-        model = Some(built?);
-        setup.push(secs);
-    }
-    let model = model.expect("SETUP_REPS >= 1");
+    // on the shared-model lock). This first build is the warm-up's.
+    let mut setup = Setup { demand_seed: args.workload.demand_seed(args.seed), secs: Vec::new() };
+    let model = DemandModel::synthetic_seeded(setup.demand_seed)?;
 
     let runner = Runner::with_threads(args.threads);
     let warm = Pass::run(&runner, &sweeps)?;
@@ -203,9 +196,11 @@ fn run() -> Result<(), Box<dyn Error>> {
 
     let deadline = Instant::now() + Duration::from_secs_f64(args.seconds);
     let (metrics, detail, correct) = if args.trace {
-        traced(&args, &sweeps, &model, &runner, &reference, &mut gate, &mut tr, &setup, deadline)?
+        traced(
+            &args, &sweeps, &model, &runner, &reference, &mut gate, &mut tr, &mut setup, deadline,
+        )?
     } else {
-        measured(&runner, &sweeps, &reference, &mut gate, &setup, peak_rss, deadline)?
+        measured(&runner, &sweeps, &reference, &mut gate, &mut tr, &mut setup, peak_rss, deadline)?
     };
 
     let detail = Json::obj()
@@ -240,6 +235,24 @@ fn run() -> Result<(), Box<dyn Error>> {
     Ok(())
 }
 
+/// The run's cold demand-model builds; `setup_s` is the median of their
+/// wall times.
+struct Setup {
+    demand_seed: u64,
+    secs: Vec<f64>,
+}
+
+impl Setup {
+    /// Times one cold `DemandModel::synthetic_seeded` call.
+    fn build(&mut self, tr: &mut Tracer) -> Result<(), Box<dyn Error>> {
+        let seed = self.demand_seed;
+        let (built, secs) = tr.timed("demand.model", || DemandModel::synthetic_seeded(seed));
+        self.secs.push(secs);
+        built?;
+        Ok(())
+    }
+}
+
 /// Points attempted and points failed across every pass of a run.
 #[derive(Debug, Default)]
 struct Gate {
@@ -260,23 +273,28 @@ impl Gate {
 
 type Metrics = Vec<(String, &'static str, f64)>;
 
-/// The end-to-end run: passes back to back until the deadline.
+/// The end-to-end run: a cold build and a pass, back to back until the
+/// deadline.
+#[allow(clippy::too_many_arguments)]
 fn measured(
     runner: &Runner,
     sweeps: &[SweepSpec],
     reference: &str,
     gate: &mut Gate,
-    setup: &[f64],
+    tr: &mut Tracer,
+    setup: &mut Setup,
     peak_rss: f64,
     deadline: Instant,
 ) -> Result<(Metrics, Json, bool), Box<dyn Error>> {
     let (mut walls, mut cpus) = (Vec::new(), Vec::new());
     while walls.len() < MIN_PASSES || Instant::now() < deadline {
+        setup.build(tr)?;
         let pass = Pass::run(runner, sweeps)?;
         gate.check(reference, &pass.jsonl(), pass.points());
         walls.push(pass.wall_s);
         cpus.push(pass.cpu_s);
     }
+    let setup = &setup.secs;
     let values = [median(setup), median(&walls), median(&cpus), peak_rss];
     let metrics = END_TO_END
         .iter()
@@ -291,9 +309,9 @@ fn measured(
     Ok((metrics, detail, true))
 }
 
-/// The traced run: repetitions of one traced pass plus its replay until
-/// the deadline; per-layer values are medians over repetitions, and work
-/// counts must repeat exactly.
+/// The traced run: repetitions of a cold build, one traced pass and its
+/// replay until the deadline; per-layer values are medians over
+/// repetitions, and work counts must repeat exactly.
 #[allow(clippy::too_many_arguments)]
 fn traced(
     args: &Args,
@@ -303,7 +321,7 @@ fn traced(
     reference: &str,
     gate: &mut Gate,
     tr: &mut Tracer,
-    setup: &[f64],
+    setup: &mut Setup,
     deadline: Instant,
 ) -> Result<(Metrics, Json, bool), Box<dyn Error>> {
     let specs = sweeps.iter().map(SweepSpec::expand).collect::<Result<Vec<_>, _>>()?;
@@ -312,6 +330,7 @@ fn traced(
     let mut mismatches: Vec<String> = Vec::new();
     let mut stage_rows = String::new();
     while reps.is_empty() || Instant::now() < deadline {
+        setup.build(tr)?;
         let root = tr.enter("trace.repetition");
         let (pass, sweep_s) = tr.timed("scenario.run_sweep", || Pass::run(runner, sweeps));
         let pass = pass?;
@@ -387,7 +406,7 @@ fn traced(
         .into_iter()
         .map(|(name, unit)| {
             let value = if name == "demand.model_s" {
-                median(setup)
+                median(&setup.secs)
             } else if let Some(&count) = first.counts.get(name.as_str()) {
                 count as f64
             } else {
