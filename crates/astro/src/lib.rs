@@ -23,7 +23,9 @@
 //! * Walker-delta constellation generation ([`walker`]);
 //! * sun-synchronous orbit design ([`sunsync`]);
 //! * repeat-ground-track orbit design ([`rgt`]);
-//! * ground tracks and swaths ([`ground_track`]).
+//! * ground tracks and swaths ([`ground_track`]);
+//! * the deterministic parallel map every parallel pipeline step runs
+//!   through ([`par`]).
 //!
 //! ## Conventions
 //!
@@ -59,6 +61,7 @@ pub mod geo;
 pub mod ground_track;
 pub mod kepler;
 pub mod linalg;
+pub mod par;
 pub mod propagate;
 pub mod rgt;
 pub mod sun;

@@ -3,7 +3,7 @@
 //! Workspace determinism & scale-safety static analysis for the
 //! ss-plane reproduction — a self-contained, dependency-free token-level
 //! linter (the build environment is offline, so no dylint/clippy-plugin
-//! route) with five rules:
+//! route) with six rules:
 //!
 //! * **hash-iter** — `HashMap`/`HashSet`/`RandomState` in library code:
 //!   hash iteration order is nondeterministic, and every report byte
@@ -15,6 +15,9 @@
 //! * **lossy-cast** — `as`-casts to sized integer types in the
 //!   `ssplane-lsn` hot paths, where 10k→100k-satellite scale makes
 //!   truncation real; use `try_from` or `ssplane_lsn::cast`.
+//! * **raw-thread** — `thread::scope`/`thread::spawn`/
+//!   `available_parallelism` outside `crates/astro/src/par.rs`: every
+//!   parallel step runs through `ssplane_astro::par::par_map`.
 //! * **scenario-schema** — every `scenarios/*.toml` key validated
 //!   against the surface `apply_param` recognizes.
 //!
@@ -123,7 +126,9 @@ fn json_escape(s: &str) -> String {
 ///   stopwatch) and defines the RNG seeding machinery;
 /// * **lossy-cast** is scoped to `crates/lsn/src/` — the percolation /
 ///   optimizer / traffic hot paths where index truncation scales into
-///   real bugs (the ISSUE's target list).
+///   real bugs;
+/// * **raw-thread** applies everywhere but `crates/astro/src/par.rs`,
+///   the one module that spawns threads.
 pub fn rules_for_path(rel: &str) -> Vec<Rule> {
     let p = rel.replace('\\', "/");
     let test_like = p.starts_with("tests/")
@@ -141,6 +146,9 @@ pub fn rules_for_path(rel: &str) -> Vec<Rule> {
     }
     if p.starts_with("crates/lsn/src/") {
         rules.push(Rule::LossyCast);
+    }
+    if p != "crates/astro/src/par.rs" {
+        rules.push(Rule::RawThread);
     }
     rules
 }

@@ -63,6 +63,27 @@ fn lossy_cast_positive_and_negative() {
 }
 
 #[test]
+fn raw_thread_positive_and_negative() {
+    let findings = scan_fixture("raw_thread_pos.rs", &ALL_RULES);
+    let lines: BTreeSet<usize> = findings.iter().map(|f| f.line).collect();
+    assert_eq!(
+        lines.len(),
+        3,
+        "available_parallelism, thread::scope and thread::spawn must each trip: {findings:?}"
+    );
+    assert!(findings.iter().all(|f| f.rule == "raw-thread"), "{findings:?}");
+    assert!(scan_fixture("raw_thread_neg.rs", &ALL_RULES).is_empty());
+}
+
+#[test]
+fn raw_thread_exempts_only_the_par_module() {
+    assert!(!rules_for_path("crates/astro/src/par.rs").contains(&Rule::RawThread));
+    for path in ["crates/scenario/src/runner.rs", "crates/lsn/src/snapshot.rs", "src/lib.rs"] {
+        assert!(rules_for_path(path).contains(&Rule::RawThread), "{path}");
+    }
+}
+
+#[test]
 fn lossy_cast_only_fires_where_enabled() {
     // The same source is clean when scanned with a non-lsn rule set.
     let rules = rules_for_path("crates/scenario/src/runner.rs");

@@ -231,9 +231,40 @@ pub fn assign_traffic_with_capacity(
     })
 }
 
+/// Nearest-rank percentile of an ascending-sorted sample (`None` if
+/// empty): the smallest value with at least `q·n` of the sample at or
+/// below it, i.e. 1-based rank `ceil(q·n)` clamped to `[1, n]`. The
+/// runner's delay percentiles and the traffic engine's utilization
+/// percentiles both read through it.
+pub fn percentile(sorted: &[f64], q: f64) -> Option<f64> {
+    let n = sorted.len();
+    if n == 0 {
+        return None;
+    }
+    let rank = crate::cast::f64_to_index((q * n as f64).ceil());
+    Some(sorted[rank.clamp(1, n) - 1])
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn percentile_is_true_nearest_rank() {
+        // The diverging pair: at n = 10, q = 0.5 nearest-rank is the 5th
+        // value — a rounded linear index would return the 6th.
+        let sorted: Vec<f64> = (1..=10).map(f64::from).collect();
+        assert_eq!(percentile(&sorted, 0.5), Some(5.0));
+        assert_ne!(percentile(&sorted, 0.5), Some(6.0), "the rounded-index answer must be gone");
+        assert_eq!(percentile(&sorted, 0.9), Some(9.0));
+        assert_eq!(percentile(&sorted, 0.99), Some(10.0));
+        assert_eq!(percentile(&sorted, 1.0), Some(10.0));
+        assert_eq!(percentile(&sorted, 0.0), Some(1.0), "rank clamps to the first value");
+        // ceil(0.5 * 4) = rank 2.
+        assert_eq!(percentile(&[1.0, 2.0, 3.0, 4.0], 0.5), Some(2.0));
+        assert_eq!(percentile(&[7.5], 0.5), Some(7.5));
+        assert_eq!(percentile(&[], 0.5), None);
+    }
     use crate::snapshot::SnapshotSeries;
     use crate::topology::{Constellation, GridTopologyConfig};
     use ssplane_astro::kepler::OrbitalElements;

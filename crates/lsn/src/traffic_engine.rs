@@ -41,7 +41,7 @@ use crate::error::Result;
 use crate::routing::ServingIndex;
 use crate::snapshot::Snapshot;
 use crate::topology::Topology;
-use crate::traffic::Flow;
+use crate::traffic::{percentile, Flow};
 use ssplane_astro::geo::GeoPoint;
 use ssplane_demand::gravity::GravityFlow;
 use std::cmp::Ordering;
@@ -229,15 +229,6 @@ fn reconstruct(prev: &[usize], src: usize, dst: usize) -> Vec<usize> {
     path
 }
 
-/// Nearest-rank percentile of an ascending-sorted slice.
-fn percentile(sorted: &[f64], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let rank = crate::cast::f64_to_index((q * sorted.len() as f64).ceil());
-    sorted[rank.clamp(1, sorted.len()) - 1]
-}
-
 /// Stage-1 output: how the flow list classified under some attachment
 /// resolution — shared between the from-scratch assignment and the
 /// incremental evaluator (which replays it with cached per-flow servers).
@@ -367,9 +358,9 @@ where
         dropped,
         unattached,
         served_fraction: if offered > 0.0 { served / offered } else { 0.0 },
-        utilization_p50: percentile(&utilization, 0.50),
-        utilization_p90: percentile(&utilization, 0.90),
-        utilization_p99: percentile(&utilization, 0.99),
+        utilization_p50: percentile(&utilization, 0.50).unwrap_or(0.0),
+        utilization_p90: percentile(&utilization, 0.90).unwrap_or(0.0),
+        utilization_p99: percentile(&utilization, 0.99).unwrap_or(0.0),
         utilization_max: utilization.last().copied().unwrap_or(0.0),
     }
 }

@@ -30,6 +30,7 @@ use crate::report::{
 use crate::spec::{AttackKind, AttackUnit, DesignSpec, ScenarioSpec, TrafficModel};
 use crate::sweep::SweepSpec;
 use ssplane_astro::geo::GeoPoint;
+use ssplane_astro::par::{par_map, resolve_threads};
 use ssplane_astro::time::Epoch;
 use ssplane_core::evaluate::{plane_fluence_samples, weighted_median_fluence};
 use ssplane_core::system::{
@@ -49,13 +50,12 @@ use ssplane_lsn::routing::{route_ground_to_ground, route_over_time, Route, TimeE
 use ssplane_lsn::snapshot::{time_grid, SnapshotSeries};
 use ssplane_lsn::survivability::{outage_timeline, simulate_process};
 use ssplane_lsn::topology::{Constellation, GridTopologyConfig, SatId};
-use ssplane_lsn::traffic::{sample_flows, Flow, TrafficReport};
+use ssplane_lsn::traffic::{percentile, sample_flows, Flow, TrafficReport};
 use ssplane_lsn::traffic_engine::{CapacityConfig, TrafficWorkload};
 use ssplane_lsn::LsnError;
 use ssplane_radiation::fluence::DailyFluence;
 use ssplane_radiation::RadiationEnvironment;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// Salt XORed into the scenario seed for the degraded-network outage
@@ -382,20 +382,6 @@ fn system_report(
     Ok((report, Some(plane_doses)))
 }
 
-/// Nearest-rank percentile of an ascending-sorted sample (NaN if empty):
-/// the smallest value with at least `q·n` of the sample at or below it,
-/// i.e. 1-based rank `ceil(q·n)` clamped to `[1, n]`. At `n = 10, q =
-/// 0.5` this is the 5th value — not the rounded linear index the
-/// pre-fix implementation returned.
-fn percentile(sorted: &[f64], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return f64::NAN;
-    }
-    let n = sorted.len();
-    let rank = (q * n as f64).ceil() as usize;
-    sorted[rank.clamp(1, n) - 1]
-}
-
 /// The per-slot statistics the intact `time_grid` block and the
 /// `degraded` block both report, computed by one aggregator so the two
 /// stay method-for-method comparable.
@@ -434,9 +420,9 @@ fn slot_aggregates(per_slot: &[(bool, &TrafficReport)]) -> SlotAggregates {
         mean_routed,
         peak_link_load,
         mean_link_load,
-        delay_p50_ms: percentile(&delays, 0.50),
-        delay_p90_ms: percentile(&delays, 0.90),
-        delay_p99_ms: percentile(&delays, 0.99),
+        delay_p50_ms: percentile(&delays, 0.50).unwrap_or(f64::NAN),
+        delay_p90_ms: percentile(&delays, 0.90).unwrap_or(f64::NAN),
+        delay_p99_ms: percentile(&delays, 0.99).unwrap_or(f64::NAN),
     }
 }
 
@@ -687,6 +673,20 @@ fn run_attack_search(
 ) -> Result<(Vec<SatId>, AttackSearchReport)> {
     let config = spec.attack.search_config(threads);
     let n_net_planes = ctx.layout.kept.len();
+    // A budget past the attacked system's unit count would be silently
+    // clamped by the search and then reported as asked; fail the point
+    // instead.
+    let n_units = match spec.attack.unit {
+        AttackUnit::Planes => n_net_planes,
+        AttackUnit::Sats => ctx.layout.total,
+    };
+    if spec.attack.budget > n_units {
+        return Err(ScenarioError::bad_value(
+            "attack.budget",
+            &spec.attack.budget.to_string(),
+            &format!("at most the attacked system's {n_units} {}", spec.attack.unit.as_str()),
+        ));
+    }
     let (baseline_name, baseline): (&str, Vec<SatId>) = match spec.attack.unit {
         AttackUnit::Planes => {
             let victims = strided_plane_indices(n_net_planes, spec.attack.budget)
@@ -1299,65 +1299,27 @@ impl SweepOutcome {
     }
 }
 
-/// The runner's total thread budget: the configured count, or the
-/// machine's available parallelism when auto (`0`).
-fn workers_total_budget(threads: usize) -> usize {
-    if threads == 0 {
-        std::thread::available_parallelism().map_or(4, std::num::NonZeroUsize::get)
-    } else {
-        threads
-    }
-}
-
 impl Runner {
     /// A runner using `threads` workers (`0` = auto).
     pub fn with_threads(threads: usize) -> Self {
         Runner { threads }
     }
 
-    fn worker_count(&self, jobs: usize) -> usize {
-        workers_total_budget(self.threads).clamp(1, jobs.max(1))
-    }
-
     /// Runs every spec, in parallel, returning outcomes in spec order.
     pub fn run_specs(&self, specs: &[ScenarioSpec]) -> SweepOutcome {
-        let n = specs.len();
         let names: Vec<String> = specs.iter().map(|s| s.name.clone()).collect();
-        let workers = self.worker_count(n);
-        if workers <= 1 || n <= 1 {
-            // The whole budget goes to intra-scenario parallelism (an
-            // explicit `--threads k` still caps snapshot builds at k).
-            let (reports, timings) =
-                specs.iter().map(|spec| execute_scenario_timed_with(spec, self.threads)).unzip();
-            return SweepOutcome { names, reports, timings };
-        }
-        let next = AtomicUsize::new(0);
-        type Slot = Mutex<Option<(Result<ScenarioReport>, ScenarioTimings)>>;
-        let slots: Vec<Slot> = (0..n).map(|_| Mutex::new(None)).collect();
+        let budget = resolve_threads(self.threads);
+        let workers = budget.clamp(1, specs.len().max(1));
         // Each concurrent worker gets its share of the thread budget for
         // intra-scenario parallelism (the network stage's snapshot
-        // build), so a sweep never runs more threads than configured.
-        let build_threads = (workers_total_budget(self.threads) / workers).max(1);
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let outcome = execute_scenario_timed_with(&specs[i], build_threads);
-                    *slots[i].lock().expect("runner slot poisoned") = Some(outcome);
-                });
-            }
-        });
-        let (reports, timings) = slots
-            .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .expect("runner slot poisoned")
-                    .expect("every index claimed exactly once")
-            })
-            .unzip();
+        // build), so a sweep never runs more threads than configured. A
+        // lone worker passes the setting through (an explicit `--threads
+        // k` still caps snapshot builds at k).
+        let build_threads = if workers <= 1 { self.threads } else { (budget / workers).max(1) };
+        let (reports, timings) =
+            par_map(specs, workers, |spec| execute_scenario_timed_with(spec, build_threads))
+                .into_iter()
+                .unzip();
         SweepOutcome { names, reports, timings }
     }
 
@@ -1934,23 +1896,6 @@ mod tests {
         assert_eq!(surv.lost_slot_days, 0.0);
     }
 
-    #[test]
-    fn percentile_is_true_nearest_rank() {
-        // The issue's diverging pair: at n = 10, q = 0.5 nearest-rank is
-        // the 5th value — the old rounded linear index returned the 6th.
-        let sorted: Vec<f64> = (1..=10).map(f64::from).collect();
-        assert_eq!(percentile(&sorted, 0.5), 5.0);
-        assert_ne!(percentile(&sorted, 0.5), 6.0, "the pre-fix answer must be gone");
-        assert_eq!(percentile(&sorted, 0.9), 9.0);
-        assert_eq!(percentile(&sorted, 0.99), 10.0);
-        assert_eq!(percentile(&sorted, 1.0), 10.0);
-        assert_eq!(percentile(&sorted, 0.0), 1.0, "rank clamps to the first value");
-        // ceil(0.5 * 4) = rank 2.
-        assert_eq!(percentile(&[1.0, 2.0, 3.0, 4.0], 0.5), 2.0);
-        assert_eq!(percentile(&[7.5], 0.5), 7.5);
-        assert!(percentile(&[], 0.5).is_nan());
-    }
-
     /// A traffic report carrying only per-flow outcomes (what the
     /// handoff accounting reads).
     fn traffic_with(outcomes: Vec<Option<ssplane_lsn::traffic::FlowOutcome>>) -> TrafficReport {
@@ -2150,6 +2095,34 @@ mod tests {
         assert_eq!(search.unit, "sats");
         assert_eq!(search.baseline, "random-sats");
         assert!(search.objective_value <= search.baseline_value);
+    }
+
+    #[test]
+    fn optimized_budget_past_the_unit_count_is_a_point_error() {
+        use crate::spec::{AttackKind, AttackUnit};
+        let mut spec = tiny_spec();
+        spec.design.kinds = vec!["ss"];
+        spec.radiation.enabled = false;
+        spec.survivability.enabled = false;
+        spec.attack.kind = AttackKind::Optimized;
+        spec.attack.restarts = 0;
+        spec.attack.swaps = 0;
+        spec.network.enabled = true;
+        spec.network.n_flows = 10;
+        spec.network.slots = 1;
+        let mut too_many_sats = spec.clone();
+        too_many_sats.attack.unit = AttackUnit::Sats;
+        too_many_sats.attack.budget = 100_000;
+        spec.attack.unit = AttackUnit::Planes;
+        spec.attack.budget = 100_000;
+        let outcome = Runner::with_threads(1).run_specs(&[spec, too_many_sats]);
+        assert_eq!(outcome.ok_count(), 0);
+        let jsonl = outcome.to_jsonl();
+        for (line, unit) in jsonl.lines().zip(["planes", "sats"]) {
+            assert!(line.contains("\"error\":"), "{line}");
+            assert!(line.contains("attack.budget"), "{line}");
+            assert!(line.contains(&format!(" {unit}")), "{line}");
+        }
     }
 
     #[test]

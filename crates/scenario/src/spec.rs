@@ -773,6 +773,14 @@ impl ScenarioSpec {
                 "> 0",
             ));
         }
+        let hour = self.network.utc_hour;
+        if !(hour.is_finite() && (0.0..=24.0).contains(&hour)) {
+            return Err(ScenarioError::bad_value(
+                "network.utc_hour",
+                &format!("{hour:?}"),
+                "a finite hour in [0, 24]",
+            ));
+        }
         if self.demand.lat_bins == 0 || self.demand.tod_bins == 0 {
             return Err(ScenarioError::bad_value("demand.bins", "0", "> 0"));
         }
@@ -953,6 +961,23 @@ mod tests {
         assert!(err.contains("did you mean `starlink`"), "{err}");
         let err = resolve_design_kind("slin").unwrap_err().to_string();
         assert!(err.contains("did you mean `slim`"), "{err}");
+    }
+
+    #[test]
+    fn utc_hour_must_be_a_finite_hour_of_day() {
+        let mut spec = ScenarioSpec::named("x");
+        spec.network.enabled = true;
+        for hour in [0.0, 12.0, 24.0] {
+            spec.network.utc_hour = hour;
+            spec.validate().unwrap();
+        }
+        // 1e300 used to reach the network stage and abort the process on
+        // NaN delays.
+        for hour in [1e300, -0.5, 24.5, f64::NAN, f64::INFINITY] {
+            spec.network.utc_hour = hour;
+            let err = spec.validate().unwrap_err().to_string();
+            assert!(err.contains("network.utc_hour"), "{hour}: {err}");
+        }
     }
 
     #[test]

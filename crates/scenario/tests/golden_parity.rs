@@ -1,8 +1,7 @@
-//! Bit-parity pins for the `Designer` redesign: the seven scenarios that
-//! shipped *before* the registry pipeline existed must keep producing
-//! byte-identical JSON-lines through it.
+//! Bit-parity pins for builtin scenarios: each must keep producing
+//! byte-identical JSON-lines.
 //!
-//! The fixtures under `tests/golden/` were captured from the
+//! The [`GOLDEN`] fixtures under `tests/golden/` were captured from the
 //! pre-refactor engine (fixed `ss_groups`/`wd_groups` paths, SS-only
 //! networking); the generic design → attack → fluence → survivability →
 //! network pipeline is required to reproduce them exactly — every float,
@@ -22,10 +21,21 @@ const GOLDEN: &[(&str, &str)] = &[
     ("routing", include_str!("golden/routing.jsonl")),
 ];
 
-#[test]
-fn pre_refactor_scenarios_reproduce_their_pinned_bytes() {
+/// Builtins pinned before the per-site worker pools were folded into
+/// `ssplane_astro::par::par_map`. Between them they run every parallel
+/// step: gravity pair sampling (`traffic-scale`), snapshot propagation
+/// (all four), both `score_batch`es and the attack-search refinement
+/// (`attack-opt`, `percolation`).
+const GOLDEN_PARALLEL: &[(&str, &str)] = &[
+    ("attack-opt", include_str!("golden/attack-opt.jsonl")),
+    ("traffic-scale", include_str!("golden/traffic-scale.jsonl")),
+    ("percolation", include_str!("golden/percolation.jsonl")),
+    ("disruption", include_str!("golden/disruption.jsonl")),
+];
+
+fn assert_reproduces(pins: &[(&str, &str)]) {
     let runner = Runner::default();
-    for (name, golden) in GOLDEN {
+    for (name, golden) in pins {
         let builtin = library::find(name).expect("pinned scenario still shipped");
         let sweep = library::sweep(builtin).expect("pinned scenario parses");
         let outcome = runner.run_sweep(&sweep).expect("pinned scenario expands");
@@ -34,8 +44,18 @@ fn pre_refactor_scenarios_reproduce_their_pinned_bytes() {
         // Compare line by line first for a readable failure, then the
         // full byte string (which also catches line-count drift).
         for (i, (got, want)) in jsonl.lines().zip(golden.lines()).enumerate() {
-            assert_eq!(got, want, "{name} line {i} diverged from its pre-refactor pin");
+            assert_eq!(got, want, "{name} line {i} diverged from its pin");
         }
-        assert_eq!(jsonl, *golden, "{name} diverged from its pre-refactor pin");
+        assert_eq!(jsonl, *golden, "{name} diverged from its pin");
     }
+}
+
+#[test]
+fn pre_refactor_scenarios_reproduce_their_pinned_bytes() {
+    assert_reproduces(GOLDEN);
+}
+
+#[test]
+fn parallel_stage_scenarios_reproduce_their_pinned_bytes() {
+    assert_reproduces(GOLDEN_PARALLEL);
 }
