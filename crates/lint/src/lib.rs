@@ -19,7 +19,7 @@
 //!   `available_parallelism` outside `crates/astro/src/par.rs`: every
 //!   parallel step runs through `ssplane_astro::par::par_map`.
 //! * **scenario-schema** — every `scenarios/*.toml` key validated
-//!   against the surface `apply_param` recognizes.
+//!   against the scenario crate's `SCENARIO_KEYS` table.
 //!
 //! Findings are suppressed only by an inline
 //! `// ssplane-lint: allow(<rule>) -- <justification>` annotation on the
@@ -203,16 +203,13 @@ pub fn scan_rust_tree(root: &Path, report: &mut Report) -> Result<(), String> {
 }
 
 /// Validates every `scenarios/*.toml` under `root` against the key
-/// surface extracted from `crates/scenario/src/sweep.rs`.
+/// table read from [`KEYS_RS`].
 ///
 /// # Errors
-/// A missing/unreadable sweep.rs or a failed key extraction — schema
+/// A missing/unreadable keys.rs or a failed key extraction — schema
 /// checking must never silently pass because its input vanished.
 pub fn scan_scenarios(root: &Path, report: &mut Report) -> Result<(), String> {
-    let sweep_path = root.join("crates/scenario/src/sweep.rs");
-    let sweep_src = fs::read_to_string(&sweep_path)
-        .map_err(|e| format!("{}: cannot read the schema source: {e}", sweep_path.display()))?;
-    let keys = schema::extract_keys(&sweep_src)?;
+    let keys = live_keys(root)?;
     let mut files = BTreeSet::new();
     collect_files(&root.join("scenarios"), "toml", &mut files);
     for path in files {
@@ -223,6 +220,21 @@ pub fn scan_scenarios(root: &Path, report: &mut Report) -> Result<(), String> {
         report.scenarios_checked += 1;
     }
     Ok(())
+}
+
+/// The scenario crate's key table, relative to the workspace root.
+pub const KEYS_RS: &str = "crates/scenario/src/keys.rs";
+
+/// The recognized scenario keys of the workspace at `root`, read from
+/// [`KEYS_RS`].
+///
+/// # Errors
+/// An unreadable keys.rs or a failed extraction.
+pub fn live_keys(root: &Path) -> Result<BTreeSet<String>, String> {
+    let path = root.join(KEYS_RS);
+    let src = fs::read_to_string(&path)
+        .map_err(|e| format!("{}: cannot read the schema source: {e}", path.display()))?;
+    schema::extract_keys(&src)
 }
 
 /// The full `--workspace` pass: Rust tree + scenario schema, findings

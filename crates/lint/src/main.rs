@@ -78,9 +78,7 @@ fn run() -> Result<Report, String> {
         let rel = path.to_string_lossy().replace('\\', "/");
         let src = std::fs::read_to_string(path).map_err(|e| format!("{rel}: {e}"))?;
         if rel.ends_with(".toml") {
-            let sweep = std::fs::read_to_string(root.join("crates/scenario/src/sweep.rs"))
-                .map_err(|e| format!("schema source: {e}"))?;
-            let keys = ssplane_lint::schema::extract_keys(&sweep)?;
+            let keys = ssplane_lint::live_keys(&root)?;
             ssplane_lint::schema::validate_scenario(&rel, &src, &keys, &mut report.findings);
             report.scenarios_checked += 1;
         } else {

@@ -36,7 +36,7 @@ pub enum Rule {
     /// outside `ssplane_astro::par`: every parallel step goes through
     /// `par_map`, whose output does not depend on the thread count.
     RawThread,
-    /// Scenario TOML keys outside the surface `apply_param` recognizes:
+    /// Scenario TOML keys outside the scenario crate's `SCENARIO_KEYS` table:
     /// a typoed key or sweep axis must fail CI, not silently no-op.
     ScenarioSchema,
     /// A malformed `ssplane-lint: allow(...)` annotation (unknown rule,

@@ -1,12 +1,13 @@
-//! The cross-file **scenario-schema** rule: extract the recognized
-//! parameter surface from the scenario crate's `apply_param` match and
-//! statically validate every `scenarios/*.toml` against it, so a typoed
-//! key or sweep axis fails CI instead of silently no-oping.
+//! The cross-file **scenario-schema** rule: read the recognized
+//! parameter surface from the scenario crate's key table
+//! (`SCENARIO_KEYS` in `crates/scenario/src/keys.rs`) and statically
+//! validate every `scenarios/*.toml` against it, so a typoed key or sweep
+//! axis fails CI instead of silently no-oping.
 //!
-//! The extraction is lexical, not semantic: `apply_param` is the single
-//! funnel every config key and sweep axis passes through at runtime (the
-//! loader documents this), and its match arms are plain string literals,
-//! so the set of `"<section>.<key>" =>` arm heads *is* the schema.
+//! The extraction is lexical, not semantic: every config key and sweep
+//! axis is looked up in that one table at runtime, and each row opens
+//! with its key as a plain string literal, so the set of row heads *is*
+//! the schema.
 
 use crate::lexer::{code_tokens, lex, TokenKind};
 use crate::rules::Rule;
@@ -14,66 +15,54 @@ use crate::Finding;
 use std::collections::BTreeSet;
 
 /// Extracts the recognized key set from the source of
-/// `crates/scenario/src/sweep.rs` (the `apply_param` match arms).
+/// `crates/scenario/src/keys.rs`: the first field of every
+/// `(name, setter)` row of `SCENARIO_KEYS`.
 ///
 /// # Errors
-/// A human-readable message when the function or a plausible key set
-/// cannot be found — extraction failure must fail the lint run loudly,
-/// never degrade into "every key is valid".
-pub fn extract_keys(sweep_rs: &str) -> Result<BTreeSet<String>, String> {
-    let tokens = lex(sweep_rs);
+/// A human-readable message when the table, a well-formed row head or a
+/// plausible key count cannot be found — extraction failure must fail
+/// the lint run loudly, never degrade into "every key is valid".
+pub fn extract_keys(keys_rs: &str) -> Result<BTreeSet<String>, String> {
+    let tokens = lex(keys_rs);
     let code = code_tokens(&tokens);
-    // Locate `fn apply_param` and its body's brace span.
-    let mut start = None;
-    for i in 0..code.len().saturating_sub(1) {
-        if matches!(&code[i].kind, TokenKind::Ident(s) if s == "fn")
-            && matches!(&code[i + 1].kind, TokenKind::Ident(s) if s == "apply_param")
-        {
-            start = Some(i);
-            break;
-        }
-    }
-    let start = start.ok_or("`fn apply_param` not found in sweep.rs")?;
+    let table = code
+        .iter()
+        .position(|t| matches!(&t.kind, TokenKind::Ident(s) if s == "SCENARIO_KEYS"))
+        .ok_or("`SCENARIO_KEYS` not found in keys.rs")?;
+    // Skip the type annotation: the rows start after the `=`.
+    let start = (table..code.len())
+        .find(|&i| code[i].kind == TokenKind::Punct('='))
+        .ok_or("`SCENARIO_KEYS` has no initializer")?;
     let mut depth = 0usize;
     let mut keys = BTreeSet::new();
-    let mut entered = false;
-    let mut i = start;
-    while i < code.len() {
+    for i in start..code.len() {
         match &code[i].kind {
-            TokenKind::Punct('{') => {
-                depth += 1;
-                entered = true;
-            }
-            TokenKind::Punct('}') => {
-                depth -= 1;
-                if entered && depth == 0 {
+            TokenKind::Punct('(' | '[' | '{') => depth += 1,
+            TokenKind::Punct(')' | ']' | '}') => {
+                depth = depth.saturating_sub(1);
+                if depth == 0 {
                     break;
                 }
             }
-            TokenKind::Str(s) if entered => {
-                // A match-arm head: string literal directly followed by
-                // `=>`. Value-token matches ("per-plane", error texts)
-                // are filtered by the key shape: dotted lowercase paths,
-                // plus the two top-level scalars.
-                let is_arm =
-                    matches!(code.get(i + 1).map(|t| &t.kind), Some(TokenKind::Punct('=')))
-                        && matches!(code.get(i + 2).map(|t| &t.kind), Some(TokenKind::Punct('>')));
-                if is_arm && (s == "name" || s == "seed" || is_dotted_key(s)) {
-                    keys.insert(s.clone());
+            // A row head: a literal opening a tuple directly inside the
+            // table's brackets. Literals inside setters sit deeper.
+            TokenKind::Str(s) if depth == 2 && code[i - 1].kind == TokenKind::Punct('(') => {
+                if !(s == "name" || s == "seed" || is_dotted_key(s)) {
+                    return Err(format!("SCENARIO_KEYS row `{s}` is not a dotted key path"));
+                }
+                if !keys.insert(s.clone()) {
+                    return Err(format!("SCENARIO_KEYS lists `{s}` twice"));
                 }
             }
             _ => {}
         }
-        i += 1;
     }
-    // The live surface holds 74 keys (the shell-first design registry
-    // added design.slim_*/design.starlink_scale and
-    // survivability.per_satellite); a count below 71 means arms were
-    // lost or the match shape changed.
+    // The live surface holds 74 keys; a count below 71 means rows were
+    // lost or the table shape changed.
     if keys.len() < 71 {
         return Err(format!(
-            "schema extraction found only {} keys in apply_param — the match shape has changed; \
-             update crates/lint/src/schema.rs",
+            "schema extraction found only {} keys in SCENARIO_KEYS — the table shape has \
+             changed; update crates/lint/src/schema.rs",
             keys.len()
         ));
     }
@@ -194,7 +183,7 @@ pub fn validate_scenario(
                 line: entry.line,
                 rule: Rule::ScenarioSchema.name(),
                 message: format!(
-                    "unknown scenario key `{}`: not in the apply_param surface{hint}",
+                    "unknown scenario key `{}`: not in the SCENARIO_KEYS table{hint}",
                     entry.path
                 ),
             });
@@ -244,32 +233,40 @@ mod tests {
     }
 
     #[test]
-    fn extraction_reads_match_arms_only() {
+    fn extraction_reads_row_heads_only() {
         let src = r#"
-            pub fn apply_param(spec: &mut S, key: &str, value: &V) -> Result<()> {
-                match key {
-                    "name" => spec.name = v(key, value)?,
-                    "seed" => spec.seed = v(key, value)?,
-                    "attack.planes_lost" => spec.attack = v(key, value)?,
-                    "demand.total_demand_b" => {
-                        spec.demand = need(key, value, "a number")?;
-                    }
-                    "spares.policy" => {
-                        spec.policy = match v(key, value)? {
-                            "per-plane" => P::PerPlane,
-                            other => return Err(bad(key, other, "per-plane")),
-                        };
-                    }
-                    _ => return Err(Unknown { key: key.to_string() }),
-                }
-                Ok(())
-            }
+            use Setter::{F64, Str};
+            pub const SCENARIO_KEYS: &[(&str, Setter)] = &[
+                ("name", Str(set_name)),
+                // ("commented.out", F64(|s, x| s.x = x)),
+                ("seed", U64(|s, n| s.seed = n)),
+                ("attack.planes_lost", Usize(|s, n| s.attack.planes_lost = n)),
+                (
+                    "demand.total_demand_b",
+                    F64(|s, x| s.demand.total_demand_b = x),
+                ),
+                ("spares.policy", Str(|s, k, t| parse(k, ("per-plane", "a.b"), t))),
+            ];
+            const OTHER: &[(&str, u8)] = &[("not.a_key", 1)];
         "#;
-        // The 20-key floor rejects this toy surface, but the message
-        // proves exactly the five arm heads were collected — the inner
-        // "per-plane" value match and the "a number" argument were not.
+        // The 71-key floor rejects this toy surface, but the message
+        // proves exactly the five row heads were collected — not the
+        // commented-out row, the literals inside a setter, nor a later
+        // table's rows.
         let err = extract_keys(src).unwrap_err();
         assert!(err.contains("only 5 keys"), "{err}");
+    }
+
+    #[test]
+    fn extraction_rejects_malformed_and_duplicate_rows() {
+        let head = "pub const SCENARIO_KEYS: &[(&str, Setter)] = &[";
+        let err = extract_keys(&format!("{head} (\"Bad-Key\", F64(f)) ];")).unwrap_err();
+        assert!(err.contains("`Bad-Key` is not a dotted key path"), "{err}");
+        let err =
+            extract_keys(&format!("{head} (\"a.b\", F64(f)), (\"a.b\", F64(g)) ];")).unwrap_err();
+        assert!(err.contains("`a.b` twice"), "{err}");
+        let err = extract_keys("fn apply_param() {}").unwrap_err();
+        assert!(err.contains("`SCENARIO_KEYS` not found"), "{err}");
     }
 
     #[test]

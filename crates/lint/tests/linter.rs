@@ -24,9 +24,106 @@ fn scan_fixture(name: &str, rules: &[Rule]) -> Vec<Finding> {
 /// The live schema surface, extracted exactly as the workspace scan
 /// extracts it.
 fn live_keys() -> BTreeSet<String> {
-    let sweep = workspace_root().join("crates/scenario/src/sweep.rs");
-    extract_keys(&std::fs::read_to_string(sweep).expect("sweep.rs readable"))
-        .expect("schema extraction")
+    ssplane_lint::live_keys(&workspace_root()).expect("schema extraction")
+}
+
+/// The 74-key surface as it stood before the key table: extraction from
+/// the real `keys.rs` must find exactly these.
+const SURFACE: [&str; 74] = [
+    "name",
+    "seed",
+    "design.kind",
+    "design.kinds",
+    "design.altitude_km",
+    "design.min_elevation_deg",
+    "design.sat_capacity",
+    "design.rgt_revs",
+    "design.rgt_days",
+    "design.rgt_inclination_deg",
+    "design.max_planes",
+    "design.branch_rule",
+    "design.walker_shell_spacing_km",
+    "design.walker_supply_model",
+    "design.walker_inclinations_deg",
+    "design.slim_plane_factor",
+    "design.slim_min_planes",
+    "design.starlink_scale",
+    "demand.total_demand_b",
+    "demand.lat_bins",
+    "demand.tod_bins",
+    "demand.seed",
+    "radiation.enabled",
+    "radiation.solar",
+    "radiation.epoch",
+    "radiation.phases",
+    "radiation.step_s",
+    "survivability.enabled",
+    "survivability.horizon_years",
+    "survivability.resupply_days",
+    "survivability.per_satellite",
+    "survivability.failure.kind",
+    "survivability.failure.infant_shape",
+    "survivability.failure.infant_scale_years",
+    "survivability.failure.wearout_shape",
+    "survivability.failure.wearout_scale_years",
+    "survivability.failure.electron_accel",
+    "survivability.failure.proton_accel",
+    "failures.baseline_per_year",
+    "failures.electron_coeff",
+    "failures.proton_coeff",
+    "spares.policy",
+    "spares.count",
+    "spares.replacement_days",
+    "attack.kind",
+    "attack.planes_lost",
+    "attack.sats_lost",
+    "attack.band_min_deg",
+    "attack.band_max_deg",
+    "attack.shell",
+    "attack.objective",
+    "attack.unit",
+    "attack.budget",
+    "attack.restarts",
+    "attack.swaps",
+    "attack.damage_threshold",
+    "network.enabled",
+    "network.with_outages",
+    "network.n_flows",
+    "network.utc_hour",
+    "network.min_elevation_deg",
+    "network.max_range_km",
+    "network.slots",
+    "network.slot_s",
+    "network.time_grid_slots",
+    "network.time_grid_slot_s",
+    "network.percolation",
+    "network.percolation_steps",
+    "network.percolation_gap",
+    "traffic.model",
+    "traffic.pairs",
+    "traffic.sites",
+    "traffic.capacity_gbps",
+    "traffic.k_paths",
+];
+
+#[test]
+fn extraction_reads_exactly_the_live_surface() {
+    let expected: BTreeSet<String> = SURFACE.iter().map(|k| k.to_string()).collect();
+    assert_eq!(expected.len(), SURFACE.len(), "SURFACE lists a key twice");
+    assert_eq!(live_keys(), expected);
+}
+
+#[test]
+fn extraction_fails_loudly_without_the_table() {
+    let missing = ssplane_lint::live_keys(Path::new("no-such-workspace")).unwrap_err();
+    assert!(missing.contains("cannot read the schema source"), "{missing}");
+    let src = std::fs::read_to_string(workspace_root().join(ssplane_lint::KEYS_RS)).unwrap();
+    // Dropping all but the first few rows trips the key-count floor.
+    let cut = src.find("(\"design.altitude_km\"").expect("row present");
+    let end = src[cut..].find("];").expect("table end") + cut;
+    let truncated = format!("{}{}", &src[..cut], &src[end..]);
+    let err = extract_keys(&truncated).unwrap_err();
+    assert!(err.contains("found only 4 keys"), "{err}");
 }
 
 #[test]

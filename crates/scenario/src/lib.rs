@@ -18,6 +18,8 @@
 //! * [`sweep`] — [`sweep::SweepSpec`]: parameter grids expanded into
 //!   concrete scenarios with deterministic per-scenario seeds (stable
 //!   under grid reordering);
+//! * [`keys`] — [`keys::SCENARIO_KEYS`]: the table of every scenario
+//!   key, its value coercion and the spec field it sets;
 //! * [`toml`] / [`config`] — the TOML-subset config format;
 //! * [`runner`] — [`runner::Runner`]: a thread-pooled executor driving
 //!   `ssplane_core::designer` → `ssplane_demand` →
@@ -60,6 +62,7 @@
 pub mod config;
 pub mod error;
 pub mod json;
+pub mod keys;
 pub mod library;
 pub mod report;
 pub mod runner;

@@ -21,6 +21,7 @@
 //! traffic, routing}`.
 
 use crate::error::{Result, ScenarioError};
+use crate::keys::{token_str, ATTACK_UNITS, SOLAR_ACTIVITIES};
 use crate::report::{
     AttackReport, AttackSearchReport, DegradedNetworkReport, DesignReport, FluenceReport,
     NamedSystemReport, NetworkReport, PerSatelliteReport, PercolationModelReport,
@@ -684,7 +685,10 @@ fn run_attack_search(
         return Err(ScenarioError::bad_value(
             "attack.budget",
             &spec.attack.budget.to_string(),
-            &format!("at most the attacked system's {n_units} {}", spec.attack.unit.as_str()),
+            &format!(
+                "at most the attacked system's {n_units} {}",
+                token_str(ATTACK_UNITS, spec.attack.unit)
+            ),
         ));
     }
     let (baseline_name, baseline): (&str, Vec<SatId>) = match spec.attack.unit {
@@ -718,7 +722,7 @@ fn run_attack_search(
     destroyed.sort_unstable();
     let report = AttackSearchReport {
         objective: config.objective.as_str().to_string(),
-        unit: spec.attack.unit.as_str().to_string(),
+        unit: token_str(ATTACK_UNITS, spec.attack.unit).to_string(),
         budget: spec.attack.budget,
         restarts: spec.attack.restarts,
         // The baseline's standalone scoring above is one extra candidate
@@ -1057,10 +1061,10 @@ fn run_scenario(
         };
         let evaluator: Option<DegradedEvaluator<'_>> = match &net_ctx {
             Some(ctx) => Some(clock.time(&format!("{name}.network.intact"), || {
-                // The spec's percolation knobs also configure the
-                // masking-threshold attack objective; only forward them
-                // when they are in-range (they are unvalidated while the
-                // percolation stage itself is off).
+                // The percolation knobs also configure the
+                // masking-threshold objective, and the damage threshold
+                // is the incremental scorer's repair-fallback knob;
+                // `validate` checks all three whenever the network runs.
                 let (steps, gap) = (spec.network.percolation_steps, spec.network.percolation_gap);
                 DegradedEvaluator::with_workload(
                     &ctx.series,
@@ -1070,20 +1074,8 @@ fn run_scenario(
                     ctx.workload.as_ref(),
                 )
                 .map(|e| {
-                    let e = if steps >= 1 && gap.is_finite() && gap > 0.0 && gap < 1.0 {
-                        e.with_percolation(steps, gap)
-                    } else {
-                        e
-                    };
-                    // The incremental scorer's repair-fallback knob; like
-                    // the percolation knobs, forward it only when valid
-                    // (it is unvalidated for fixed attacks).
-                    let frac = spec.attack.damage_threshold;
-                    if frac.is_finite() && frac > 0.0 && frac <= 1.0 {
-                        e.with_repair_threshold(frac)
-                    } else {
-                        e
-                    }
+                    e.with_percolation(steps, gap)
+                        .with_repair_threshold(spec.attack.damage_threshold)
                 })
             })?),
             None => None,
@@ -1145,7 +1137,7 @@ fn run_scenario(
         seed: spec.seed,
         total_demand_b: spec.demand.total_demand_b,
         demand_multiplier: multiplier,
-        solar: spec.radiation.solar.as_str().to_string(),
+        solar: token_str(SOLAR_ACTIVITIES, spec.radiation.solar).to_string(),
         epoch_jd: epoch.julian_date(),
         systems,
     })
@@ -1346,6 +1338,30 @@ mod tests {
         spec.radiation.step_s = 300.0;
         spec.survivability.horizon_years = 2.0;
         spec
+    }
+
+    #[test]
+    fn oversized_or_unbounded_grids_become_error_lines() {
+        use crate::sweep::{SweepAxis, SweepSpec};
+        use crate::toml::TomlValue;
+        let mut base = ScenarioSpec::named("huge");
+        base.network.enabled = true;
+        // Each used to abort the process (a failed 28.8-440 GB
+        // allocation, or a panic on non-finite delays) with no output.
+        for (param, value) in [
+            ("network.time_grid_slots", TomlValue::Int(100_000_000)),
+            ("network.slots", TomlValue::Int(100_000_000)),
+            ("demand.tod_bins", TomlValue::Int(100_000_000)),
+            ("demand.lat_bins", TomlValue::Int(100_000_000)),
+            ("network.time_grid_slot_s", TomlValue::Float(1e300)),
+        ] {
+            let axes = vec![SweepAxis { param: param.to_string(), values: vec![value] }];
+            let sweep = SweepSpec { base: base.clone(), axes };
+            let outcome = Runner::with_threads(1).run_sweep(&sweep).unwrap();
+            assert_eq!(outcome.ok_count(), 0, "{param}");
+            let line = outcome.to_jsonl();
+            assert!(line.contains("\"error\":\"bad value for ") && line.contains(param), "{line}");
+        }
     }
 
     #[test]

@@ -9,11 +9,12 @@
 //! [`crate::report::ScenarioReport`].
 
 use crate::error::{Result, ScenarioError};
+use core::fmt::Display;
 use ssplane_astro::time::Epoch;
-use ssplane_core::designer::{BranchRule, DesignConfig};
+use ssplane_core::designer::DesignConfig;
 use ssplane_core::rgt_analysis::RgtDesignConfig;
 use ssplane_core::system::DESIGNER_REGISTRY;
-use ssplane_core::walker_baseline::{SupplyModel, WalkerBaselineConfig};
+use ssplane_core::walker_baseline::WalkerBaselineConfig;
 use ssplane_lsn::disruption::{
     AttackModel, DeclinationBand, FailureProcess, LeadingPlanes, RadiationExponential, RandomSats,
     WeibullBathtub, WholeShell,
@@ -43,15 +44,9 @@ pub fn resolve_design_kind(s: &str) -> Result<&'static str> {
     if let Some(&(name, _)) = DESIGNER_REGISTRY.iter().find(|&&(name, _)| name == s) {
         return Ok(name);
     }
-    let names: Vec<&str> = DESIGNER_REGISTRY.iter().map(|&(n, _)| n).collect();
-    let mut expected = names.join(" | ");
-    let near = names
-        .iter()
-        .map(|&n| (edit_distance(s, n), n))
-        .filter(|&(d, _)| d <= 3)
-        .min()
-        .map(|(_, n)| n);
-    if let Some(hint) = near {
+    let names = || DESIGNER_REGISTRY.iter().map(|&(n, _)| n);
+    let mut expected = names().collect::<Vec<_>>().join(" | ");
+    if let Some(hint) = nearest(s, names()) {
         expected = format!("{expected} — did you mean `{hint}`?");
     }
     Err(ScenarioError::bad_value("design.kind", s, &expected))
@@ -68,8 +63,14 @@ pub fn parse_design_kinds(s: &str) -> Result<Vec<&'static str>> {
     resolve_design_kind(s).map(|k| vec![k])
 }
 
-/// Plain Levenshtein distance for the did-you-mean hint (designer names
-/// are short; the O(nm) table is fine).
+/// The name nearest to `s` within edit distance 3 (ties go to the
+/// lexically smallest), for did-you-mean hints.
+pub(crate) fn nearest<'n>(s: &str, names: impl Iterator<Item = &'n str>) -> Option<&'n str> {
+    names.map(|n| (edit_distance(s, n), n)).filter(|&(d, _)| d <= 3).min().map(|(_, n)| n)
+}
+
+/// Plain Levenshtein distance for the did-you-mean hints (names are
+/// short; the O(nm) table is fine).
 fn edit_distance(a: &str, b: &str) -> usize {
     let a: Vec<char> = a.chars().collect();
     let b: Vec<char> = b.chars().collect();
@@ -83,42 +84,6 @@ fn edit_distance(a: &str, b: &str) -> usize {
         prev = cur;
     }
     prev[b.len()]
-}
-
-/// Parses a [`BranchRule`] config token.
-pub fn parse_branch_rule(s: &str) -> Result<BranchRule> {
-    match s {
-        "best-of-both" => Ok(BranchRule::BestOfBoth),
-        "ascending-only" => Ok(BranchRule::AscendingOnly),
-        "alternate" => Ok(BranchRule::Alternate),
-        other => Err(ScenarioError::bad_value(
-            "design.branch_rule",
-            other,
-            "best-of-both | ascending-only | alternate",
-        )),
-    }
-}
-
-/// Canonical token for a [`BranchRule`].
-pub fn branch_rule_str(rule: BranchRule) -> &'static str {
-    match rule {
-        BranchRule::BestOfBoth => "best-of-both",
-        BranchRule::AscendingOnly => "ascending-only",
-        BranchRule::Alternate => "alternate",
-    }
-}
-
-/// Parses a [`SupplyModel`] config token.
-pub fn parse_supply_model(s: &str) -> Result<SupplyModel> {
-    match s {
-        "worst-case" => Ok(SupplyModel::WorstCase),
-        "time-average" => Ok(SupplyModel::TimeAverage),
-        other => Err(ScenarioError::bad_value(
-            "design.walker_supply_model",
-            other,
-            "worst-case | time-average",
-        )),
-    }
 }
 
 /// Constellation-design stage configuration: the designer knobs for every
@@ -215,27 +180,6 @@ pub enum SolarActivity {
     Min,
 }
 
-impl SolarActivity {
-    /// Canonical config-file token.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            SolarActivity::Cycle24 => "cycle24",
-            SolarActivity::Max => "max",
-            SolarActivity::Min => "min",
-        }
-    }
-
-    /// Parses the config-file token.
-    pub fn parse(s: &str) -> Result<Self> {
-        match s {
-            "cycle24" | "mid" => Ok(SolarActivity::Cycle24),
-            "max" | "solar-max" => Ok(SolarActivity::Max),
-            "min" | "solar-min" => Ok(SolarActivity::Min),
-            other => Err(ScenarioError::bad_value("radiation.solar", other, "cycle24 | max | min")),
-        }
-    }
-}
-
 /// Radiation/fluence stage configuration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RadiationSpec {
@@ -296,29 +240,6 @@ pub enum FailureKind {
     /// The Weibull bathtub: infant mortality plus dose-accelerated
     /// wear-out.
     Weibull,
-}
-
-impl FailureKind {
-    /// Canonical config-file token.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            FailureKind::Exponential => "exponential",
-            FailureKind::Weibull => "weibull",
-        }
-    }
-
-    /// Parses the config-file token.
-    pub fn parse(s: &str) -> Result<Self> {
-        match s {
-            "exponential" | "radiation-exponential" => Ok(FailureKind::Exponential),
-            "weibull" | "bathtub" => Ok(FailureKind::Weibull),
-            other => Err(ScenarioError::bad_value(
-                "survivability.failure.kind",
-                other,
-                "exponential | weibull",
-            )),
-        }
-    }
 }
 
 /// Failure-and-spares stage configuration (the survivability simulation).
@@ -408,35 +329,6 @@ pub enum AttackKind {
     Optimized,
 }
 
-impl AttackKind {
-    /// Canonical config-file token.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            AttackKind::LeadingPlanes => "leading-planes",
-            AttackKind::RandomSats => "random-sats",
-            AttackKind::DeclinationBand => "declination-band",
-            AttackKind::Shell => "shell",
-            AttackKind::Optimized => "optimized",
-        }
-    }
-
-    /// Parses the config-file token.
-    pub fn parse(s: &str) -> Result<Self> {
-        match s {
-            "leading-planes" | "planes" => Ok(AttackKind::LeadingPlanes),
-            "random-sats" | "random" => Ok(AttackKind::RandomSats),
-            "declination-band" | "band" => Ok(AttackKind::DeclinationBand),
-            "shell" => Ok(AttackKind::Shell),
-            "optimized" | "worst-case" => Ok(AttackKind::Optimized),
-            other => Err(ScenarioError::bad_value(
-                "attack.kind",
-                other,
-                "leading-planes | random-sats | declination-band | shell | optimized",
-            )),
-        }
-    }
-}
-
 /// The candidate-set unit of an optimized attack search.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum AttackUnit {
@@ -445,41 +337,6 @@ pub enum AttackUnit {
     Planes,
     /// Search over individual-satellite sets.
     Sats,
-}
-
-impl AttackUnit {
-    /// Canonical config-file token.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            AttackUnit::Planes => "planes",
-            AttackUnit::Sats => "sats",
-        }
-    }
-
-    /// Parses the config-file token.
-    pub fn parse(s: &str) -> Result<Self> {
-        match s {
-            "planes" => Ok(AttackUnit::Planes),
-            "sats" | "satellites" => Ok(AttackUnit::Sats),
-            other => Err(ScenarioError::bad_value("attack.unit", other, "planes | sats")),
-        }
-    }
-}
-
-/// Parses an `attack.objective` token into the optimizer's objective.
-pub fn parse_objective(s: &str) -> Result<AttackObjective> {
-    match s {
-        "routed-fraction" | "routed" => Ok(AttackObjective::RoutedFraction),
-        "connectivity" => Ok(AttackObjective::Connectivity),
-        "load-inflation" | "load" => Ok(AttackObjective::LoadInflation),
-        "served-demand" | "served" => Ok(AttackObjective::ServedDemand),
-        "masking-threshold" | "masking" => Ok(AttackObjective::MaskingThreshold),
-        other => Err(ScenarioError::bad_value(
-            "attack.objective",
-            other,
-            "routed-fraction | connectivity | load-inflation | served-demand | masking-threshold",
-        )),
-    }
 }
 
 /// The population-scale traffic workload family the network stage runs —
@@ -496,25 +353,6 @@ pub enum TrafficModel {
     /// with real rate weights, aggregated by serving-satellite pair and
     /// assigned under per-link capacities — the served-demand metric.
     Gravity,
-}
-
-impl TrafficModel {
-    /// Canonical config-file token.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            TrafficModel::Sampled => "sampled",
-            TrafficModel::Gravity => "gravity",
-        }
-    }
-
-    /// Parses the config-file token.
-    pub fn parse(s: &str) -> Result<Self> {
-        match s {
-            "sampled" | "flows" => Ok(TrafficModel::Sampled),
-            "gravity" => Ok(TrafficModel::Gravity),
-            other => Err(ScenarioError::bad_value("traffic.model", other, "sampled | gravity")),
-        }
-    }
 }
 
 /// Population-scale traffic-engine configuration (the `traffic.*` keys).
@@ -727,6 +565,18 @@ impl Default for NetworkSpec {
     }
 }
 
+/// Most slots `network.slots` or `network.time_grid_slots` may ask for
+/// (a day of one-minute slots). Each slot holds a propagated snapshot,
+/// so an unbounded count is an unbounded allocation.
+const MAX_SLOTS: usize = 1440;
+/// Longest span `slots × spacing` either network time grid may cover
+/// \[s\]: one year. Far-future instants propagate to non-finite delays.
+const MAX_GRID_SPAN_S: f64 = 366.0 * 86_400.0;
+/// Most `demand.lat_bins` (0.1° bins); the lat × tod grid is dense.
+const MAX_LAT_BINS: usize = 1800;
+/// Most `demand.tod_bins` (one-minute bins).
+const MAX_TOD_BINS: usize = 1440;
+
 /// One fully-specified experiment.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct ScenarioSpec {
@@ -766,167 +616,134 @@ impl ScenarioSpec {
     pub fn validate(&self) -> Result<()> {
         // `positive` deliberately rejects NaN alongside non-positives.
         let positive = |x: f64| x.is_finite() && x > 0.0;
-        if !positive(self.demand.total_demand_b) {
-            return Err(ScenarioError::bad_value(
-                "demand.total_demand_b",
-                &self.demand.total_demand_b.to_string(),
-                "> 0",
-            ));
-        }
-        let hour = self.network.utc_hour;
-        if !(hour.is_finite() && (0.0..=24.0).contains(&hour)) {
-            return Err(ScenarioError::bad_value(
-                "network.utc_hour",
-                &format!("{hour:?}"),
-                "a finite hour in [0, 24]",
-            ));
-        }
-        if self.demand.lat_bins == 0 || self.demand.tod_bins == 0 {
-            return Err(ScenarioError::bad_value("demand.bins", "0", "> 0"));
-        }
-        if self.radiation.enabled && !positive(self.radiation.step_s) {
-            return Err(ScenarioError::bad_value(
-                "radiation.step_s",
-                &self.radiation.step_s.to_string(),
-                "> 0",
-            ));
-        }
-        if self.survivability.enabled && !self.radiation.enabled {
-            return Err(ScenarioError::bad_value(
-                "survivability.enabled",
-                "true",
-                "radiation.enabled = true (the failure model is fluence-driven)",
-            ));
-        }
-        if self.design.kinds.is_empty() {
-            return Err(ScenarioError::bad_value("design.kinds", "[]", "at least one design kind"));
-        }
         let unit = |x: f64| x.is_finite() && x > 0.0 && x <= 1.0;
-        if self.design.includes("slim") {
-            if !unit(self.design.slim_plane_factor) {
-                return Err(ScenarioError::bad_value(
-                    "design.slim_plane_factor",
-                    &self.design.slim_plane_factor.to_string(),
-                    "a fraction in (0, 1]",
-                ));
-            }
-            if self.design.slim_min_planes == 0 {
-                return Err(ScenarioError::bad_value("design.slim_min_planes", "0", ">= 1"));
-            }
+        let (design, demand, rad, surv) =
+            (&self.design, &self.demand, &self.radiation, &self.survivability);
+        let (attack, net, traffic) = (&self.attack, &self.network, &self.traffic);
+        check(
+            positive(demand.total_demand_b),
+            "demand.total_demand_b",
+            demand.total_demand_b,
+            "> 0",
+        )?;
+        let hour = net.utc_hour;
+        let finite_hour = hour.is_finite() && (0.0..=24.0).contains(&hour);
+        check(finite_hour, "network.utc_hour", format!("{hour:?}"), "a finite hour in [0, 24]")?;
+        check(demand.lat_bins > 0 && demand.tod_bins > 0, "demand.bins", 0, "> 0")?;
+        for (key, bins, max) in [
+            ("demand.lat_bins", demand.lat_bins, MAX_LAT_BINS),
+            ("demand.tod_bins", demand.tod_bins, MAX_TOD_BINS),
+        ] {
+            check(bins <= max, key, bins, &format!("<= {max}"))?;
         }
-        if self.design.includes("starlink") && !unit(self.design.starlink_scale) {
-            return Err(ScenarioError::bad_value(
-                "design.starlink_scale",
-                &self.design.starlink_scale.to_string(),
-                "a fraction in (0, 1]",
-            ));
+        check(!rad.enabled || positive(rad.step_s), "radiation.step_s", rad.step_s, "> 0")?;
+        let fluence_driven = "radiation.enabled = true (the failure model is fluence-driven)";
+        check(!surv.enabled || rad.enabled, "survivability.enabled", true, fluence_driven)?;
+        check(!design.kinds.is_empty(), "design.kinds", "[]", "at least one design kind")?;
+        if design.includes("slim") {
+            let factor = design.slim_plane_factor;
+            check(unit(factor), "design.slim_plane_factor", factor, "a fraction in (0, 1]")?;
+            check(design.slim_min_planes > 0, "design.slim_min_planes", 0, ">= 1")?;
         }
-        if self.survivability.enabled && !positive(self.survivability.horizon_years) {
-            return Err(ScenarioError::bad_value(
-                "survivability.horizon_years",
-                &self.survivability.horizon_years.to_string(),
-                "> 0",
-            ));
+        let scale = design.starlink_scale;
+        let scale_ok = !design.includes("starlink") || unit(scale);
+        check(scale_ok, "design.starlink_scale", scale, "a fraction in (0, 1]")?;
+        let horizon = surv.horizon_years;
+        check(!surv.enabled || positive(horizon), "survivability.horizon_years", horizon, "> 0")?;
+        let (lo, hi) = (attack.band_min_deg, attack.band_max_deg);
+        check(
+            attack.kind != AttackKind::DeclinationBand
+                || (lo.is_finite() && hi.is_finite() && lo <= hi),
+            "attack.band_min_deg/band_max_deg",
+            format!("[{lo}, {hi}]"),
+            "a finite band with band_min_deg <= band_max_deg",
+        )?;
+        let optimized = attack.kind == AttackKind::Optimized;
+        check(
+            !optimized || net.enabled,
+            "attack.kind",
+            "optimized",
+            "network.enabled = true (the search scores candidates by a degraded-network \
+             objective)",
+        )?;
+        let capacity = traffic.capacity_gbps;
+        check(positive(capacity), "traffic.capacity_gbps", capacity, "> 0")?;
+        check(traffic.k_paths > 0, "traffic.k_paths", 0, ">= 1")?;
+        let gravity = traffic.model == TrafficModel::Gravity;
+        if gravity {
+            check(traffic.pairs > 0, "traffic.pairs", 0, ">= 1")?;
+            let distinct = ">= 2 (the gravity model needs distinct endpoints)";
+            check(traffic.sites >= 2, "traffic.sites", traffic.sites, distinct)?;
         }
-        if self.attack.kind == AttackKind::DeclinationBand
-            && !(self.attack.band_min_deg.is_finite()
-                && self.attack.band_max_deg.is_finite()
-                && self.attack.band_min_deg <= self.attack.band_max_deg)
-        {
-            return Err(ScenarioError::bad_value(
-                "attack.band_min_deg/band_max_deg",
-                &format!("[{}, {}]", self.attack.band_min_deg, self.attack.band_max_deg),
-                "a finite band with band_min_deg <= band_max_deg",
-            ));
+        check(
+            !optimized || attack.objective != AttackObjective::ServedDemand || gravity,
+            "attack.objective",
+            "served-demand",
+            "traffic.model = \"gravity\" (the objective scores the capacity-constrained \
+             engine's served fraction)",
+        )?;
+        if !net.enabled {
+            let replays =
+                "network.enabled = true (the sweep replays the network stage's topologies)";
+            return check(!net.percolation, "network.percolation", true, replays);
         }
-        if self.attack.kind == AttackKind::Optimized && !self.network.enabled {
-            return Err(ScenarioError::bad_value(
-                "attack.kind",
-                "optimized",
-                "network.enabled = true (the search scores candidates by a degraded-network \
-                 objective)",
-            ));
+        check(net.time_grid_slots > 0, "network.time_grid_slots", 0, ">= 1")?;
+        for (slots_key, slots, dt_key, dt) in [
+            ("network.slots", net.slots, "network.slot_s", net.slot_s),
+            (
+                "network.time_grid_slots",
+                net.time_grid_slots,
+                "network.time_grid_slot_s",
+                net.time_grid_slot_s,
+            ),
+        ] {
+            check(slots <= MAX_SLOTS, slots_key, slots, &format!("<= {MAX_SLOTS}"))?;
+            let span_ok = positive(dt) && slots.max(1) as f64 * dt <= MAX_GRID_SPAN_S;
+            let span = format!("> 0, with {slots_key} × spacing <= {MAX_GRID_SPAN_S} s");
+            check(span_ok, dt_key, dt, &span)?;
         }
-        if !positive(self.traffic.capacity_gbps) {
-            return Err(ScenarioError::bad_value(
-                "traffic.capacity_gbps",
-                &self.traffic.capacity_gbps.to_string(),
-                "> 0",
-            ));
-        }
-        if self.traffic.k_paths == 0 {
-            return Err(ScenarioError::bad_value("traffic.k_paths", "0", ">= 1"));
-        }
-        if self.traffic.model == TrafficModel::Gravity {
-            if self.traffic.pairs == 0 {
-                return Err(ScenarioError::bad_value("traffic.pairs", "0", ">= 1"));
-            }
-            if self.traffic.sites < 2 {
-                return Err(ScenarioError::bad_value(
-                    "traffic.sites",
-                    &self.traffic.sites.to_string(),
-                    ">= 2 (the gravity model needs distinct endpoints)",
-                ));
-            }
-        }
-        if self.attack.kind == AttackKind::Optimized
-            && self.attack.objective == AttackObjective::ServedDemand
-            && self.traffic.model != TrafficModel::Gravity
-        {
-            return Err(ScenarioError::bad_value(
-                "attack.objective",
-                "served-demand",
-                "traffic.model = \"gravity\" (the objective scores the capacity-constrained \
-                 engine's served fraction)",
-            ));
-        }
-        if self.network.enabled {
-            if self.network.time_grid_slots == 0 {
-                return Err(ScenarioError::bad_value("network.time_grid_slots", "0", ">= 1"));
-            }
-            if self.network.time_grid_slots > 1 && !positive(self.network.time_grid_slot_s) {
-                return Err(ScenarioError::bad_value(
-                    "network.time_grid_slot_s",
-                    &self.network.time_grid_slot_s.to_string(),
-                    "> 0 for a multi-slot time grid",
-                ));
-            }
-            if self.network.with_outages && !self.attack.is_active() && !self.survivability.enabled
-            {
-                return Err(ScenarioError::bad_value(
-                    "network.with_outages",
-                    "true",
-                    "an active attack or survivability.enabled = true (otherwise the degraded \
-                     network is the intact network)",
-                ));
-            }
-            if self.network.percolation {
-                if self.network.percolation_steps == 0 {
-                    return Err(ScenarioError::bad_value("network.percolation_steps", "0", ">= 1"));
-                }
-                let gap = self.network.percolation_gap;
-                if !(gap.is_finite() && gap > 0.0 && gap < 1.0) {
-                    return Err(ScenarioError::bad_value(
-                        "network.percolation_gap",
-                        &gap.to_string(),
-                        "a fraction in (0, 1)",
-                    ));
-                }
-            }
-        } else if self.network.percolation {
-            return Err(ScenarioError::bad_value(
-                "network.percolation",
-                "true",
-                "network.enabled = true (the sweep replays the network stage's topologies)",
-            ));
-        }
+        check(
+            !net.with_outages || attack.is_active() || surv.enabled,
+            "network.with_outages",
+            true,
+            "an active attack or survivability.enabled = true (otherwise the degraded \
+             network is the intact network)",
+        )?;
+        // The runner forwards the percolation knobs (they also configure
+        // the masking-threshold objective) and the scorer's damage
+        // threshold whenever the network stage runs.
+        check(net.percolation_steps > 0, "network.percolation_steps", 0, ">= 1")?;
+        let gap = net.percolation_gap;
+        let gap_ok = gap.is_finite() && gap > 0.0 && gap < 1.0;
+        check(gap_ok, "network.percolation_gap", gap, "a fraction in (0, 1)")?;
+        let frac = attack.damage_threshold;
+        check(unit(frac), "attack.damage_threshold", frac, "a fraction in (0, 1]")
+    }
+}
+
+/// `Ok` when `ok`, else the bad-value error naming `key`, the offending
+/// `value` and what was `expected`.
+fn check(ok: bool, key: &str, value: impl Display, expected: &str) -> Result<()> {
+    if ok {
         Ok(())
+    } else {
+        Err(ScenarioError::bad_value(key, &value.to_string(), expected))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::keys::{
+        parse_token, token_str, ATTACK_KINDS, ATTACK_UNITS, BRANCH_RULES, FAILURE_KINDS,
+        OBJECTIVES, SOLAR_ACTIVITIES, TRAFFIC_MODELS,
+    };
+    use ssplane_core::designer::BranchRule;
+
+    /// Parses `value`'s canonical token back through its table.
+    fn round_trip<T: Copy + PartialEq>(table: &[(&'static str, T)], value: T) -> Result<T> {
+        parse_token("key", table, token_str(table, value))
+    }
 
     #[test]
     fn defaults_validate() {
@@ -949,10 +766,10 @@ mod tests {
             "legacy 'both' keeps meaning the paper's SS-vs-Walker pair"
         );
         for sol in [SolarActivity::Cycle24, SolarActivity::Max, SolarActivity::Min] {
-            assert_eq!(SolarActivity::parse(sol.as_str()).unwrap(), sol);
+            assert_eq!(round_trip(SOLAR_ACTIVITIES, sol).unwrap(), sol);
         }
         for rule in [BranchRule::BestOfBoth, BranchRule::AscendingOnly, BranchRule::Alternate] {
-            assert_eq!(parse_branch_rule(branch_rule_str(rule)).unwrap(), rule);
+            assert_eq!(round_trip(BRANCH_RULES, rule).unwrap(), rule);
         }
         assert!(resolve_design_kind("sparkle").is_err());
         // Near misses get a did-you-mean hint naming the closest
@@ -1067,24 +884,28 @@ mod tests {
             AttackKind::DeclinationBand,
             AttackKind::Shell,
         ] {
-            assert_eq!(AttackKind::parse(kind.as_str()).unwrap(), kind);
+            assert_eq!(round_trip(ATTACK_KINDS, kind).unwrap(), kind);
             // The registry name of the configured model matches the token.
             let spec = AttackSpec { kind, ..Default::default() };
-            assert_eq!(spec.fixed_model().expect("fixed kind").name(), kind.as_str());
+            let name = token_str(ATTACK_KINDS, kind);
+            assert_eq!(spec.fixed_model().expect("fixed kind").name(), name);
         }
         // The optimized kind parses but has no fixed model: its destroyed
         // set is a search outcome, not a geometry function.
-        assert_eq!(AttackKind::parse("optimized").unwrap(), AttackKind::Optimized);
+        assert_eq!(
+            parse_token("attack.kind", ATTACK_KINDS, "optimized").unwrap(),
+            AttackKind::Optimized
+        );
         let optimized = AttackSpec { kind: AttackKind::Optimized, ..Default::default() };
         assert!(optimized.fixed_model().is_none());
         assert!(optimized.is_active());
-        assert!(AttackKind::parse("emp").is_err());
+        assert!(parse_token("attack.kind", ATTACK_KINDS, "emp").is_err());
         for kind in [FailureKind::Exponential, FailureKind::Weibull] {
-            assert_eq!(FailureKind::parse(kind.as_str()).unwrap(), kind);
+            assert_eq!(round_trip(FAILURE_KINDS, kind).unwrap(), kind);
             let spec = SurvivabilitySpec { failure_kind: kind, ..Default::default() };
-            assert_eq!(spec.process().name(), kind.as_str());
+            assert_eq!(spec.process().name(), token_str(FAILURE_KINDS, kind));
         }
-        assert!(FailureKind::parse("lognormal").is_err());
+        assert!(parse_token("k", FAILURE_KINDS, "lognormal").is_err());
     }
 
     #[test]
@@ -1131,9 +952,115 @@ mod tests {
         }
         spec.network.percolation_gap = 0.1;
         spec.validate().unwrap();
-        // A disabled percolation stage does not police its knobs.
+        // The knobs also configure the masking-threshold objective, so a
+        // running network stage polices them even with percolation off;
+        // a disabled network stage does not.
         spec.network.percolation = false;
         spec.network.percolation_steps = 0;
+        assert!(spec.validate().is_err(), "steps checked whenever the network runs");
+        spec.network.enabled = false;
+        spec.validate().unwrap();
+    }
+
+    #[test]
+    fn damage_threshold_checked_for_an_optimized_attack() {
+        let mut spec = ScenarioSpec::named("x");
+        spec.network.enabled = true;
+        spec.attack.kind = AttackKind::Optimized;
+        spec.validate().unwrap();
+        // 0 used to be dropped silently and the search ran at 1.0.
+        for bad in [0.0, -0.5, 1.5, f64::NAN] {
+            spec.attack.damage_threshold = bad;
+            let err = spec.validate().unwrap_err().to_string();
+            assert!(err.contains("attack.damage_threshold"), "{bad}: {err}");
+        }
+        spec.attack.damage_threshold = 1.0;
+        spec.validate().unwrap();
+    }
+
+    #[test]
+    fn percolation_knobs_checked_whenever_the_network_runs() {
+        let mut spec = ScenarioSpec::named("x");
+        spec.network.enabled = true;
+        spec.network.percolation_gap = 0.0;
+        let err = spec.validate().unwrap_err().to_string();
+        assert!(err.contains("network.percolation_gap"), "{err}");
+        spec.network.percolation_gap = 0.1;
+        spec.network.percolation_steps = 0;
+        let err = spec.validate().unwrap_err().to_string();
+        assert!(err.contains("network.percolation_steps"), "{err}");
+    }
+
+    /// The network-enabled spec with `edit` applied must be rejected
+    /// naming `key`.
+    fn assert_rejected(key: &str, edit: impl Fn(&mut ScenarioSpec)) {
+        let mut spec = ScenarioSpec::named("x");
+        spec.network.enabled = true;
+        edit(&mut spec);
+        let err = spec.validate().unwrap_err().to_string();
+        assert!(err.contains(key), "{key}: {err}");
+    }
+
+    #[test]
+    fn huge_time_grid_slot_count_rejected() {
+        // 1e8 slots used to abort the process on a 440 GB allocation.
+        assert_rejected("network.time_grid_slots", |s| s.network.time_grid_slots = 100_000_000);
+    }
+
+    #[test]
+    fn huge_route_slot_count_rejected() {
+        assert_rejected("network.slots", |s| s.network.slots = 100_000_000);
+    }
+
+    #[test]
+    fn huge_lat_bin_count_rejected() {
+        assert_rejected("demand.lat_bins", |s| s.demand.lat_bins = 100_000_000);
+    }
+
+    #[test]
+    fn huge_tod_bin_count_rejected() {
+        // 1e8 bins used to abort the process on a 28.8 GB allocation.
+        assert_rejected("demand.tod_bins", |s| s.demand.tod_bins = 100_000_000);
+    }
+
+    #[test]
+    fn absurd_slot_spacing_rejected() {
+        // 1e300 s spacing used to panic on non-finite delays.
+        for bad in [1e300, 1e200, f64::INFINITY, f64::NAN, 0.0, -60.0] {
+            assert_rejected("network.time_grid_slot_s", |s| {
+                s.network.time_grid_slots = 2;
+                s.network.time_grid_slot_s = bad;
+            });
+            assert_rejected("network.slot_s", |s| s.network.slot_s = bad);
+        }
+        // A grid spanning more than a year is rejected, one within it kept.
+        assert_rejected("network.time_grid_slot_s", |s| {
+            s.network.time_grid_slots = 1440;
+            s.network.time_grid_slot_s = 86_400.0;
+        });
+        let mut spec = ScenarioSpec::named("x");
+        spec.network.enabled = true;
+        spec.network.time_grid_slots = 365;
+        spec.network.time_grid_slot_s = 86_400.0;
+        spec.validate().unwrap();
+    }
+
+    #[test]
+    fn size_bounds_admit_every_shipped_resolution() {
+        let mut spec = ScenarioSpec::named("x");
+        spec.network.enabled = true;
+        // The builtins use at most 8 × 420 s and 36 × 24 bins; the
+        // ablation figure uses 72 × 48.
+        spec.network.slots = 8;
+        spec.network.slot_s = 420.0;
+        spec.network.time_grid_slots = 8;
+        spec.network.time_grid_slot_s = 420.0;
+        spec.demand.lat_bins = 72;
+        spec.demand.tod_bins = 48;
+        spec.validate().unwrap();
+        spec.network.time_grid_slots = MAX_SLOTS;
+        spec.demand.lat_bins = MAX_LAT_BINS;
+        spec.demand.tod_bins = MAX_TOD_BINS;
         spec.validate().unwrap();
     }
 
@@ -1147,14 +1074,14 @@ mod tests {
             ("served-demand", AttackObjective::ServedDemand),
             ("masking-threshold", AttackObjective::MaskingThreshold),
         ] {
-            assert_eq!(parse_objective(token).unwrap(), objective);
+            assert_eq!(parse_token("attack.objective", OBJECTIVES, token).unwrap(), objective);
             assert_eq!(objective.as_str(), token, "token round trip");
         }
-        assert!(parse_objective("chaos").is_err());
+        assert!(parse_token("attack.objective", OBJECTIVES, "chaos").is_err());
         for unit in [AttackUnit::Planes, AttackUnit::Sats] {
-            assert_eq!(AttackUnit::parse(unit.as_str()).unwrap(), unit);
+            assert_eq!(round_trip(ATTACK_UNITS, unit).unwrap(), unit);
         }
-        assert!(AttackUnit::parse("shells").is_err());
+        assert!(parse_token("attack.unit", ATTACK_UNITS, "shells").is_err());
         let spec = AttackSpec {
             kind: AttackKind::Optimized,
             unit: AttackUnit::Sats,
@@ -1186,9 +1113,9 @@ mod tests {
     #[test]
     fn traffic_tokens_round_trip_and_validation_rules() {
         for model in [TrafficModel::Sampled, TrafficModel::Gravity] {
-            assert_eq!(TrafficModel::parse(model.as_str()).unwrap(), model);
+            assert_eq!(round_trip(TRAFFIC_MODELS, model).unwrap(), model);
         }
-        assert!(TrafficModel::parse("antigravity").is_err());
+        assert!(parse_token("traffic.model", TRAFFIC_MODELS, "antigravity").is_err());
 
         let mut spec = ScenarioSpec::named("x");
         spec.traffic.capacity_gbps = 0.0;

@@ -11,13 +11,9 @@
 //!   same scenarios in the same order.
 
 use crate::error::{Result, ScenarioError};
-use crate::spec::{
-    parse_branch_rule, parse_design_kinds, parse_objective, parse_supply_model,
-    resolve_design_kind, AttackKind, AttackUnit, FailureKind, ScenarioSpec, SolarActivity,
-    TrafficModel,
-};
+use crate::keys::SCENARIO_KEYS;
+use crate::spec::{nearest, ScenarioSpec};
 use crate::toml::TomlValue;
-use ssplane_lsn::spares::SparePolicy;
 
 /// One sweep axis: a dotted parameter path and the values it takes.
 #[derive(Debug, Clone, PartialEq)]
@@ -56,13 +52,14 @@ impl SweepSpec {
 
     /// Expands the grid into concrete scenarios (row-major: the last axis
     /// varies fastest). Each scenario gets `name = base.name +
-    /// sorted-override suffix` and `seed = scenario_seed(...)`; every
-    /// expanded spec is validated.
+    /// sorted-override suffix` and `seed = scenario_seed(...)`. Each
+    /// point is validated when it runs, so an invalid point becomes that
+    /// point's error while the rest of the grid still runs.
     ///
     /// # Errors
-    /// Unknown parameters, un-coercible values, reserved axes (`name`,
+    /// Unknown parameters, un-coercible values, or reserved axes (`name`,
     /// `seed` — both are assigned by the expansion itself, so sweeping
-    /// them would be silently overwritten), or invalid expanded specs.
+    /// them would be silently overwritten).
     pub fn expand(&self) -> Result<Vec<ScenarioSpec>> {
         for axis in &self.axes {
             if axis.param == "seed" || axis.param == "name" {
@@ -102,7 +99,6 @@ impl SweepSpec {
                     sorted.iter().map(|(k, v)| format!("{k}={}", canonical_value(v))).collect();
                 spec.name = format!("{}/{}", self.base.name, suffix.join(","));
             }
-            spec.validate()?;
             out.push(spec);
         }
         Ok(out)
@@ -148,284 +144,31 @@ pub fn scenario_seed(base_seed: u64, sorted_overrides: &[(String, TomlValue)]) -
     h
 }
 
-fn need_f64(key: &str, v: &TomlValue) -> Result<f64> {
-    v.as_f64().ok_or_else(|| ScenarioError::bad_value(key, &canonical_value(v), "a number"))
-}
-
-fn need_usize(key: &str, v: &TomlValue) -> Result<usize> {
-    v.as_usize()
-        .ok_or_else(|| ScenarioError::bad_value(key, &canonical_value(v), "a non-negative integer"))
-}
-
-fn need_str<'v>(key: &str, v: &'v TomlValue) -> Result<&'v str> {
-    v.as_str().ok_or_else(|| ScenarioError::bad_value(key, &canonical_value(v), "a string"))
-}
-
-fn need_bool(key: &str, v: &TomlValue) -> Result<bool> {
-    v.as_bool().ok_or_else(|| ScenarioError::bad_value(key, &canonical_value(v), "a boolean"))
-}
-
-/// Parses `"YYYY-MM-DD"` into `(year, month, day)`.
-fn parse_ymd(key: &str, s: &str) -> Result<(i32, u32, u32)> {
-    let parts: Vec<&str> = s.split('-').collect();
-    let bad = || ScenarioError::bad_value(key, s, "a date 'YYYY-MM-DD'");
-    if parts.len() != 3 {
-        return Err(bad());
-    }
-    let y: i32 = parts[0].parse().map_err(|_| bad())?;
-    let m: u32 = parts[1].parse().map_err(|_| bad())?;
-    let d: u32 = parts[2].parse().map_err(|_| bad())?;
-    // The astro crate's calendar conversion (Vallado) is only valid for
-    // 1901-2099 and does no legality checking — an out-of-domain year or
-    // an impossible date like 06-31 would map to a silently shifted
-    // Julian date rather than an error, so both are rejected here.
-    if !(1901..=2099).contains(&y) || !(1..=12).contains(&m) {
-        return Err(ScenarioError::bad_value(key, s, "a date 'YYYY-MM-DD' with year 1901-2099"));
-    }
-    let leap = y % 4 == 0; // exact within 1901-2099 (2000 is a leap year)
-    let days_in_month =
-        [31, if leap { 29 } else { 28 }, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31][(m - 1) as usize];
-    if d < 1 || d > days_in_month {
-        return Err(ScenarioError::bad_value(
-            key,
-            s,
-            "a calendar-legal date (that month has fewer days)",
-        ));
-    }
-    Ok((y, m, d))
-}
-
-/// Applies one dotted-path override to a spec. This is the *entire*
-/// config surface: the TOML loader funnels every `section.key` pair
+/// Applies one dotted-path override to a spec: looks `key` up in
+/// [`SCENARIO_KEYS`], the *entire* config surface, and runs its row's
+/// coercion and setter. The TOML loader funnels every `section.key` pair
 /// through here, so config files and sweep axes can address exactly the
 /// same knobs.
 ///
 /// # Errors
-/// [`ScenarioError::UnknownParameter`] for paths outside the surface,
+/// [`ScenarioError::UnknownParameter`] for paths outside the surface
+/// (naming the nearest key when one is close),
 /// [`ScenarioError::BadValue`] for un-coercible values.
 pub fn apply_param(spec: &mut ScenarioSpec, key: &str, value: &TomlValue) -> Result<()> {
-    match key {
-        "name" => spec.name = need_str(key, value)?.to_string(),
-        "seed" => {
-            spec.seed = value.as_u64().ok_or_else(|| {
-                ScenarioError::bad_value(key, &canonical_value(value), "a non-negative integer")
-            })?;
-        }
-
-        // `design.kind` is the scalar spelling (kept for back-compat:
-        // `"both"` still selects the paper's SS + Walker pair);
-        // `design.kinds` is the open list form.
-        "design.kind" => spec.design.kinds = parse_design_kinds(need_str(key, value)?)?,
-        "design.kinds" => {
-            let arr = value.as_array().ok_or_else(|| {
-                ScenarioError::bad_value(key, &canonical_value(value), "an array of design kinds")
-            })?;
-            let mut kinds = Vec::with_capacity(arr.len());
-            for item in arr {
-                kinds.push(resolve_design_kind(need_str(key, item)?)?);
-            }
-            if kinds.is_empty() {
-                return Err(ScenarioError::bad_value(key, "[]", "at least one design kind"));
-            }
-            spec.design.kinds = kinds;
-        }
-        "design.altitude_km" => {
-            let alt = need_f64(key, value)?;
-            spec.design.ss.altitude_km = alt;
-            spec.design.wd.altitude_km = alt;
-        }
-        "design.min_elevation_deg" => {
-            let elev = need_f64(key, value)?;
-            spec.design.ss.min_elevation_deg = elev;
-            spec.design.wd.min_elevation_deg = elev;
-            spec.design.rgt.min_elevation_deg = elev;
-        }
-        "design.sat_capacity" => {
-            let cap = need_f64(key, value)?;
-            spec.design.ss.sat_capacity = cap;
-            spec.design.wd.sat_capacity = cap;
-            spec.design.rgt.sat_capacity = cap;
-        }
-        "design.rgt_revs" => {
-            spec.design.rgt.revs = u32::try_from(need_usize(key, value)?).map_err(|_| {
-                ScenarioError::bad_value(key, &canonical_value(value), "a small positive integer")
-            })?;
-        }
-        "design.rgt_days" => {
-            spec.design.rgt.days = u32::try_from(need_usize(key, value)?).map_err(|_| {
-                ScenarioError::bad_value(key, &canonical_value(value), "a small positive integer")
-            })?;
-        }
-        "design.rgt_inclination_deg" => {
-            spec.design.rgt.inclination_deg = need_f64(key, value)?;
-        }
-        "design.max_planes" => spec.design.ss.max_planes = need_usize(key, value)?,
-        "design.branch_rule" => {
-            spec.design.ss.branch_rule = parse_branch_rule(need_str(key, value)?)?;
-        }
-        "design.walker_shell_spacing_km" => {
-            spec.design.wd.shell_spacing_km = need_f64(key, value)?;
-        }
-        "design.walker_supply_model" => {
-            spec.design.wd.supply_model = parse_supply_model(need_str(key, value)?)?;
-        }
-        "design.walker_inclinations_deg" => {
-            let arr = value.as_array().ok_or_else(|| {
-                ScenarioError::bad_value(key, &canonical_value(value), "an array of degrees")
-            })?;
-            let mut incs = Vec::with_capacity(arr.len());
-            for item in arr {
-                incs.push(need_f64(key, item)?);
-            }
-            if incs.is_empty() {
-                return Err(ScenarioError::bad_value(key, "[]", "at least one inclination"));
-            }
-            spec.design.wd.candidate_inclinations_deg = incs;
-        }
-        "design.slim_plane_factor" => spec.design.slim_plane_factor = need_f64(key, value)?,
-        "design.slim_min_planes" => spec.design.slim_min_planes = need_usize(key, value)?,
-        "design.starlink_scale" => spec.design.starlink_scale = need_f64(key, value)?,
-
-        "demand.total_demand_b" => spec.demand.total_demand_b = need_f64(key, value)?,
-        "demand.lat_bins" => spec.demand.lat_bins = need_usize(key, value)?,
-        "demand.tod_bins" => spec.demand.tod_bins = need_usize(key, value)?,
-        "demand.seed" => {
-            spec.demand.seed = value.as_u64().ok_or_else(|| {
-                ScenarioError::bad_value(key, &canonical_value(value), "a non-negative integer")
-            })?;
-        }
-
-        "radiation.enabled" => spec.radiation.enabled = need_bool(key, value)?,
-        "radiation.solar" => spec.radiation.solar = SolarActivity::parse(need_str(key, value)?)?,
-        "radiation.epoch" => spec.radiation.epoch_ymd = parse_ymd(key, need_str(key, value)?)?,
-        "radiation.phases" => spec.radiation.phases = need_usize(key, value)?.max(1),
-        "radiation.step_s" => spec.radiation.step_s = need_f64(key, value)?,
-
-        "survivability.enabled" => spec.survivability.enabled = need_bool(key, value)?,
-        "survivability.horizon_years" => {
-            spec.survivability.horizon_years = need_f64(key, value)?;
-        }
-        "survivability.resupply_days" => {
-            spec.survivability.resupply_days = need_f64(key, value)?;
-        }
-        "survivability.per_satellite" => {
-            spec.survivability.per_satellite = need_bool(key, value)?;
-        }
-        "survivability.failure.kind" => {
-            spec.survivability.failure_kind = FailureKind::parse(need_str(key, value)?)?;
-        }
-        "survivability.failure.infant_shape" => {
-            spec.survivability.weibull.infant_shape = need_f64(key, value)?;
-        }
-        "survivability.failure.infant_scale_years" => {
-            spec.survivability.weibull.infant_scale_years = need_f64(key, value)?;
-        }
-        "survivability.failure.wearout_shape" => {
-            spec.survivability.weibull.wearout_shape = need_f64(key, value)?;
-        }
-        "survivability.failure.wearout_scale_years" => {
-            spec.survivability.weibull.wearout_scale_years = need_f64(key, value)?;
-        }
-        "survivability.failure.electron_accel" => {
-            spec.survivability.weibull.electron_accel = need_f64(key, value)?;
-        }
-        "survivability.failure.proton_accel" => {
-            spec.survivability.weibull.proton_accel = need_f64(key, value)?;
-        }
-        "failures.baseline_per_year" => {
-            spec.survivability.failure.baseline_per_year = need_f64(key, value)?;
-        }
-        "failures.electron_coeff" => {
-            spec.survivability.failure.electron_coeff = need_f64(key, value)?;
-        }
-        "failures.proton_coeff" => {
-            spec.survivability.failure.proton_coeff = need_f64(key, value)?;
-        }
-
-        "spares.policy" => {
-            let (count, replacement_days) = policy_parts(&spec.survivability.policy);
-            spec.survivability.policy = match need_str(key, value)? {
-                "per-plane" => SparePolicy::PerPlane { spares_per_plane: count, replacement_days },
-                "shared-pool" => SparePolicy::SharedPool { pool_size: count, replacement_days },
-                other => {
-                    return Err(ScenarioError::bad_value(key, other, "per-plane | shared-pool"))
-                }
-            };
-        }
-        "spares.count" => {
-            let n = need_usize(key, value)?;
-            spec.survivability.policy = match spec.survivability.policy {
-                SparePolicy::PerPlane { replacement_days, .. } => {
-                    SparePolicy::PerPlane { spares_per_plane: n, replacement_days }
-                }
-                SparePolicy::SharedPool { replacement_days, .. } => {
-                    SparePolicy::SharedPool { pool_size: n, replacement_days }
-                }
-            };
-        }
-        "spares.replacement_days" => {
-            let days = need_f64(key, value)?;
-            spec.survivability.policy = match spec.survivability.policy {
-                SparePolicy::PerPlane { spares_per_plane, .. } => {
-                    SparePolicy::PerPlane { spares_per_plane, replacement_days: days }
-                }
-                SparePolicy::SharedPool { pool_size, .. } => {
-                    SparePolicy::SharedPool { pool_size, replacement_days: days }
-                }
-            };
-        }
-
-        "attack.kind" => spec.attack.kind = AttackKind::parse(need_str(key, value)?)?,
-        "attack.planes_lost" => spec.attack.planes_lost = need_usize(key, value)?,
-        "attack.sats_lost" => spec.attack.sats_lost = need_usize(key, value)?,
-        "attack.band_min_deg" => spec.attack.band_min_deg = need_f64(key, value)?,
-        "attack.band_max_deg" => spec.attack.band_max_deg = need_f64(key, value)?,
-        "attack.shell" => spec.attack.shell = need_usize(key, value)?,
-        "attack.objective" => spec.attack.objective = parse_objective(need_str(key, value)?)?,
-        "attack.unit" => spec.attack.unit = AttackUnit::parse(need_str(key, value)?)?,
-        "attack.budget" => spec.attack.budget = need_usize(key, value)?,
-        "attack.restarts" => spec.attack.restarts = need_usize(key, value)?,
-        "attack.swaps" => spec.attack.swaps = need_usize(key, value)?,
-        "attack.damage_threshold" => spec.attack.damage_threshold = need_f64(key, value)?,
-
-        "network.enabled" => spec.network.enabled = need_bool(key, value)?,
-        "network.with_outages" => spec.network.with_outages = need_bool(key, value)?,
-        "network.n_flows" => spec.network.n_flows = need_usize(key, value)?,
-        "network.utc_hour" => spec.network.utc_hour = need_f64(key, value)?,
-        "network.min_elevation_deg" => spec.network.min_elevation_deg = need_f64(key, value)?,
-        "network.max_range_km" => spec.network.max_range_km = need_f64(key, value)?,
-        "network.slots" => spec.network.slots = need_usize(key, value)?,
-        "network.slot_s" => spec.network.slot_s = need_f64(key, value)?,
-        "network.time_grid_slots" => spec.network.time_grid_slots = need_usize(key, value)?,
-        "network.time_grid_slot_s" => spec.network.time_grid_slot_s = need_f64(key, value)?,
-        "network.percolation" => spec.network.percolation = need_bool(key, value)?,
-        "network.percolation_steps" => spec.network.percolation_steps = need_usize(key, value)?,
-        "network.percolation_gap" => spec.network.percolation_gap = need_f64(key, value)?,
-
-        "traffic.model" => spec.traffic.model = TrafficModel::parse(need_str(key, value)?)?,
-        "traffic.pairs" => spec.traffic.pairs = need_usize(key, value)?,
-        "traffic.sites" => spec.traffic.sites = need_usize(key, value)?,
-        "traffic.capacity_gbps" => spec.traffic.capacity_gbps = need_f64(key, value)?,
-        "traffic.k_paths" => spec.traffic.k_paths = need_usize(key, value)?,
-
-        _ => return Err(ScenarioError::UnknownParameter { key: key.to_string() }),
-    }
-    Ok(())
-}
-
-/// The `(count, replacement_days)` of either policy variant.
-fn policy_parts(policy: &SparePolicy) -> (usize, f64) {
-    match *policy {
-        SparePolicy::PerPlane { spares_per_plane, replacement_days } => {
-            (spares_per_plane, replacement_days)
-        }
-        SparePolicy::SharedPool { pool_size, replacement_days } => (pool_size, replacement_days),
+    match SCENARIO_KEYS.iter().find(|&&(name, _)| name == key) {
+        Some(&(_, setter)) => setter.apply(spec, key, value),
+        None => Err(ScenarioError::UnknownParameter {
+            key: key.to_string(),
+            hint: nearest(key, SCENARIO_KEYS.iter().map(|&(name, _)| name)),
+        }),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spec::{AttackKind, AttackUnit, FailureKind, TrafficModel};
+    use ssplane_lsn::spares::SparePolicy;
 
     fn axis(param: &str, values: &[f64]) -> SweepAxis {
         SweepAxis {

@@ -33,6 +33,17 @@ const GOLDEN_PARALLEL: &[(&str, &str)] = &[
     ("disruption", include_str!("golden/disruption.jsonl")),
 ];
 
+/// The remaining builtins, pinned before the scenario-key surface moved
+/// into one table. Between them they set the slim, starlink and RGT
+/// design keys, the time-grid keys and the Walker network stage, so
+/// every builtin in the library now has a byte pin.
+const GOLDEN_KEYS: &[(&str, &str)] = &[
+    ("design-catalog", include_str!("golden/design-catalog.jsonl")),
+    ("time-resolved", include_str!("golden/time-resolved.jsonl")),
+    ("walker-network", include_str!("golden/walker-network.jsonl")),
+    ("design-shootout", include_str!("golden/design-shootout.jsonl")),
+];
+
 fn assert_reproduces(pins: &[(&str, &str)]) {
     let runner = Runner::default();
     for (name, golden) in pins {
@@ -58,4 +69,18 @@ fn pre_refactor_scenarios_reproduce_their_pinned_bytes() {
 #[test]
 fn parallel_stage_scenarios_reproduce_their_pinned_bytes() {
     assert_reproduces(GOLDEN_PARALLEL);
+}
+
+#[test]
+fn key_surface_scenarios_reproduce_their_pinned_bytes() {
+    assert_reproduces(GOLDEN_KEYS);
+}
+
+#[test]
+fn every_builtin_is_pinned() {
+    let pinned: Vec<&str> =
+        GOLDEN.iter().chain(GOLDEN_PARALLEL).chain(GOLDEN_KEYS).map(|&(name, _)| name).collect();
+    for builtin in library::BUILTINS {
+        assert!(pinned.contains(&builtin.name), "builtin `{}` has no golden", builtin.name);
+    }
 }
