@@ -3,7 +3,7 @@
 //! Workspace determinism & scale-safety static analysis for the
 //! ss-plane reproduction — a self-contained, dependency-free token-level
 //! linter (the build environment is offline, so no dylint/clippy-plugin
-//! route) with six rules:
+//! route) with seven rules:
 //!
 //! * **hash-iter** — `HashMap`/`HashSet`/`RandomState` in library code:
 //!   hash iteration order is nondeterministic, and every report byte
@@ -18,6 +18,8 @@
 //! * **raw-thread** — `thread::scope`/`thread::spawn`/
 //!   `available_parallelism` outside `crates/astro/src/par.rs`: every
 //!   parallel step runs through `ssplane_astro::par::par_map`.
+//! * **raw-heap** — `BinaryHeap` outside `crates/lsn/src/routing.rs`:
+//!   every shortest-path search runs that module's one Dijkstra kernel.
 //! * **scenario-schema** — every `scenarios/*.toml` key validated
 //!   against the scenario crate's `SCENARIO_KEYS` table.
 //!
@@ -128,7 +130,9 @@ fn json_escape(s: &str) -> String {
 ///   optimizer / traffic hot paths where index truncation scales into
 ///   real bugs;
 /// * **raw-thread** applies everywhere but `crates/astro/src/par.rs`,
-///   the one module that spawns threads.
+///   the one module that spawns threads;
+/// * **raw-heap** applies everywhere but `crates/lsn/src/routing.rs`,
+///   the one module with a priority queue.
 pub fn rules_for_path(rel: &str) -> Vec<Rule> {
     let p = rel.replace('\\', "/");
     let test_like = p.starts_with("tests/")
@@ -149,6 +153,9 @@ pub fn rules_for_path(rel: &str) -> Vec<Rule> {
     }
     if p != "crates/astro/src/par.rs" {
         rules.push(Rule::RawThread);
+    }
+    if p != "crates/lsn/src/routing.rs" {
+        rules.push(Rule::RawHeap);
     }
     rules
 }

@@ -36,6 +36,11 @@ pub enum Rule {
     /// outside `ssplane_astro::par`: every parallel step goes through
     /// `par_map`, whose output does not depend on the thread count.
     RawThread,
+    /// `BinaryHeap` outside `ssplane_lsn::routing`: every shortest-path
+    /// search runs its one Dijkstra kernel, whose canonical `(dist,
+    /// node)` pop order keeps tree repair and the k-path rounds
+    /// bit-identical to a fresh masked run.
+    RawHeap,
     /// Scenario TOML keys outside the scenario crate's `SCENARIO_KEYS` table:
     /// a typoed key or sweep axis must fail CI, not silently no-op.
     ScenarioSchema,
@@ -53,12 +58,13 @@ impl Rule {
             Rule::UnseededRng => "unseeded-rng",
             Rule::LossyCast => "lossy-cast",
             Rule::RawThread => "raw-thread",
+            Rule::RawHeap => "raw-heap",
             Rule::ScenarioSchema => "scenario-schema",
             Rule::BadAllow => "bad-allow",
         }
     }
 
-    /// Parses a registry name (the six public rules only — `bad-allow`
+    /// Parses a registry name (the seven public rules only — `bad-allow`
     /// findings cannot be allowed away).
     pub fn parse(s: &str) -> Option<Rule> {
         match s {
@@ -67,6 +73,7 @@ impl Rule {
             "unseeded-rng" => Some(Rule::UnseededRng),
             "lossy-cast" => Some(Rule::LossyCast),
             "raw-thread" => Some(Rule::RawThread),
+            "raw-heap" => Some(Rule::RawHeap),
             "scenario-schema" => Some(Rule::ScenarioSchema),
             _ => None,
         }
@@ -74,12 +81,13 @@ impl Rule {
 }
 
 /// Every public rule, in registry order.
-pub const ALL_RULES: [Rule; 6] = [
+pub const ALL_RULES: [Rule; 7] = [
     Rule::HashIter,
     Rule::WallClock,
     Rule::UnseededRng,
     Rule::LossyCast,
     Rule::RawThread,
+    Rule::RawHeap,
     Rule::ScenarioSchema,
 ];
 
@@ -285,6 +293,16 @@ pub fn scan_rust(file: &str, src: &str, rules: &[Rule]) -> (Vec<Finding>, AllowT
                     &mut allows,
                 );
             }
+        }
+        if rules.contains(&Rule::RawHeap) && name == "BinaryHeap" {
+            emit(
+                Rule::RawHeap,
+                line,
+                "`BinaryHeap` outside ssplane_lsn::routing: run shortest-path searches through \
+                 its one Dijkstra kernel so every search keeps the canonical (dist, node) order"
+                    .to_string(),
+                &mut allows,
+            );
         }
         if rules.contains(&Rule::LossyCast) && name == "as" {
             if let Some(TokenKind::Ident(ty)) = code.get(idx + 1).map(|t| &t.kind) {

@@ -181,6 +181,23 @@ fn raw_thread_exempts_only_the_par_module() {
 }
 
 #[test]
+fn raw_heap_positive_and_negative() {
+    let findings = scan_fixture("raw_heap_pos.rs", &ALL_RULES);
+    let lines: BTreeSet<usize> = findings.iter().map(|f| f.line).collect();
+    assert_eq!(lines.len(), 2, "the import and the constructor must each trip: {findings:?}");
+    assert!(findings.iter().all(|f| f.rule == "raw-heap"), "{findings:?}");
+    assert!(scan_fixture("raw_heap_neg.rs", &ALL_RULES).is_empty());
+}
+
+#[test]
+fn raw_heap_exempts_only_the_kernel_module() {
+    assert!(!rules_for_path("crates/lsn/src/routing.rs").contains(&Rule::RawHeap));
+    for path in ["crates/lsn/src/traffic_engine.rs", "crates/lsn/src/topology.rs", "src/lib.rs"] {
+        assert!(rules_for_path(path).contains(&Rule::RawHeap), "{path}");
+    }
+}
+
+#[test]
 fn lossy_cast_only_fires_where_enabled() {
     // The same source is clean when scanned with a non-lsn rule set.
     let rules = rules_for_path("crates/scenario/src/runner.rs");

@@ -245,9 +245,12 @@ impl<'a> DegradedEvaluator<'a> {
                     )
                 })
                 .transpose()?;
+            // A constellation is never empty, so connectivity among all
+            // alive nodes is exactly `Topology::is_connected`.
+            let components = topology.components_among(&all_alive);
             intact.push(SlotEvaluation {
-                connected: topology.is_connected(),
-                largest_component: topology.largest_component_among(&all_alive),
+                connected: components.connected(),
+                largest_component: components.largest(),
                 alive: series.n_sats(),
                 traffic,
                 served,
@@ -421,9 +424,10 @@ impl<'a> DegradedEvaluator<'a> {
                 )
             })
             .transpose()?;
+        let components = topology.components_among(mask);
         Ok(SlotEvaluation {
-            connected: topology.is_connected_among(mask),
-            largest_component: topology.largest_component_among(mask),
+            connected: components.connected(),
+            largest_component: components.largest(),
             alive: snapshot.alive_count(),
             traffic,
             served,

@@ -172,33 +172,6 @@ fn is_subset(small: &[usize], big: &[usize]) -> bool {
     true
 }
 
-/// Connected-component labels over the alive nodes (dead nodes keep
-/// `u32::MAX`): two alive nodes share a label iff the masked topology
-/// connects them — the exact reachability verdict of a masked Dijkstra.
-fn component_labels(topo: &crate::topology::Topology, alive: &[bool]) -> Vec<u32> {
-    let n = topo.n_nodes();
-    let mut comp = vec![u32::MAX; n];
-    let mut stack: Vec<usize> = Vec::new();
-    let mut next = 0u32;
-    for v in 0..n {
-        if !alive[v] || comp[v] != u32::MAX {
-            continue;
-        }
-        comp[v] = next;
-        stack.push(v);
-        while let Some(u) = stack.pop() {
-            for &(w, _) in topo.neighbors(u) {
-                if alive[w] && comp[w] == u32::MAX {
-                    comp[w] = next;
-                    stack.push(w);
-                }
-            }
-        }
-        next += 1;
-    }
-    comp
-}
-
 /// `victims − parent` for sorted slices with `parent ⊆ victims`.
 fn diff_sorted(victims: &[usize], parent: &[usize]) -> Vec<usize> {
     let mut out = Vec::with_capacity(victims.len().saturating_sub(parent.len()));
@@ -633,7 +606,7 @@ impl<'e, 'a> IncrementalScorer<'e, 'a> {
             // counts without building a single path.
             let servers =
                 self.update_servers(k, &self.endpoints.points, &parent.slots[k].servers, mask);
-            let comp = component_labels(&self.ev.topologies[k], mask);
+            let comp = self.ev.topologies[k].components_among(mask).labels;
             for i in 0..self.ev.flows.len() {
                 let (ea, eb) = self.endpoints.flow_eps[i];
                 match (servers[ea], servers[eb]) {

@@ -70,43 +70,45 @@ impl PartialOrd for HeapItem {
     }
 }
 
-/// Runs Dijkstra from `src`, optionally stopping once `stop_at` is
-/// finalized, optionally restricting traversal to nodes flagged in
-/// `alive` (a `None` mask is the full graph; `src` must be alive).
-/// Because link weights are strictly positive and relaxations use strict
-/// `<`, the distance and predecessor entries of every node on a
-/// finalized node's shortest path are themselves final — so an
-/// early-exit run and a full run reconstruct identical paths. With the
-/// alive filter, the run is relaxation-for-relaxation identical to the
-/// unfiltered run on [`Topology::masked`] of the same mask: a node's
-/// masked neighbor list is the exact alive subsequence of its intact
-/// one.
-fn dijkstra(
+/// A plain edge weight: the link length \[km\].
+fn length(_: usize, _: usize, w: f64) -> f64 {
+    w
+}
+
+/// The one relaxation loop every shortest-path query in this crate runs.
+/// Pops `heap` in canonical `(dist, node)` order, skips stale entries,
+/// ends as soon as `stop` accepts a settled node, and otherwise relaxes
+/// each alive neighbour `v` of the settled node `u` to
+/// `dist[u] + weight(u, v, length)` under strict `<`.
+///
+/// Because weights are strictly positive and relaxations use strict `<`,
+/// the labels of every settled node — and of every node on its
+/// predecessor chain — are final when it settles, so a run cut short by
+/// `stop` reconstructs exactly the paths a full run would. With an
+/// `alive` mask the run is relaxation-for-relaxation identical to the
+/// unmasked run on [`Topology::masked`] of the same mask: a node's masked
+/// neighbour list is the exact alive subsequence of its intact one.
+fn settle(
     topology: &Topology,
-    src: usize,
-    stop_at: Option<usize>,
     alive: Option<&[bool]>,
-) -> (Vec<f64>, Vec<usize>) {
-    let n = topology.n_nodes();
-    let mut dist = vec![f64::INFINITY; n];
-    let mut prev = vec![usize::MAX; n];
-    let mut heap = BinaryHeap::new();
-    dist[src] = 0.0;
-    heap.push(HeapItem { dist: 0.0, node: src });
+    dist: &mut [f64],
+    prev: &mut [usize],
+    mut heap: BinaryHeap<HeapItem>,
+    mut weight: impl FnMut(usize, usize, f64) -> f64,
+    mut stop: impl FnMut(usize) -> bool,
+) {
     while let Some(HeapItem { dist: d, node }) = heap.pop() {
-        if Some(node) == stop_at {
-            break;
-        }
         if d > dist[node] {
             continue;
         }
+        if stop(node) {
+            break;
+        }
         for &(v, w) in topology.neighbors(node) {
-            if let Some(mask) = alive {
-                if !mask[v] {
-                    continue;
-                }
+            if alive.is_some_and(|m| !m[v]) {
+                continue;
             }
-            let nd = d + w;
+            let nd = d + weight(node, v, w);
             if nd < dist[v] {
                 dist[v] = nd;
                 prev[v] = node;
@@ -114,19 +116,30 @@ fn dijkstra(
             }
         }
     }
-    (dist, prev)
 }
 
-/// Rebuilds the hop list `src -> dst` from a predecessor array.
-fn reconstruct(topology: &Topology, prev: &[usize], src: usize, dst: usize) -> Vec<SatId> {
-    let mut hops = vec![dst];
-    let mut cur = dst;
-    while cur != src {
-        cur = prev[cur];
-        hops.push(cur);
+/// Dijkstra from flat node `src` through [`settle`], restricted to the
+/// `alive` nodes (`None` is the full graph), with edge weights
+/// `weight(from, to, length)` and an early exit once `stop` accepts a
+/// settled node. A dead source is labelled 0 and reaches nothing — the
+/// [`Topology::masked`] semantics, where it has no surviving links.
+pub(crate) fn dijkstra(
+    topology: &Topology,
+    src: usize,
+    alive: Option<&[bool]>,
+    weight: impl FnMut(usize, usize, f64) -> f64,
+    stop: impl FnMut(usize) -> bool,
+) -> ShortestPathTree {
+    let n = topology.n_nodes();
+    let mut dist = vec![f64::INFINITY; n];
+    let mut prev = vec![usize::MAX; n];
+    let mut heap = BinaryHeap::new();
+    dist[src] = 0.0;
+    if alive.is_none_or(|m| m[src]) {
+        heap.push(HeapItem { dist: 0.0, node: src });
     }
-    hops.reverse();
-    hops.into_iter().map(|i| topology.id_of(i).expect("valid index")).collect()
+    settle(topology, alive, &mut dist, &mut prev, heap, weight, stop);
+    ShortestPathTree { src, dist, prev, kids: OnceLock::new() }
 }
 
 /// Shortest-length path (km) between two satellites on a topology
@@ -141,11 +154,7 @@ pub fn shortest_path(topology: &Topology, from: SatId, to: SatId) -> Result<(Vec
         .ok_or(LsnError::UnknownNode { plane: from.plane, slot: from.slot })?;
     let dst =
         topology.index_of(to).ok_or(LsnError::UnknownNode { plane: to.plane, slot: to.slot })?;
-    let (dist, prev) = dijkstra(topology, src, Some(dst), None);
-    if dist[dst].is_infinite() {
-        return Err(LsnError::NoRoute);
-    }
-    Ok((reconstruct(topology, &prev, src, dst), dist[dst]))
+    dijkstra(topology, src, None, length, |v| v == dst).path_to(topology, to)
 }
 
 /// All-destinations shortest paths from one source satellite — one full
@@ -207,21 +216,19 @@ impl ShortestPathTree {
         let src = topology
             .index_of(from)
             .ok_or(LsnError::UnknownNode { plane: from.plane, slot: from.slot })?;
-        let (dist, prev) = dijkstra(topology, src, None, None);
-        Ok(ShortestPathTree { src, dist, prev, kids: OnceLock::new() })
+        Ok(dijkstra(topology, src, None, length, |_| false))
     }
 
     /// The tree rooted at flat node `src`, optionally restricted to the
     /// `alive` nodes — identical to [`Self::from_source`] on
-    /// [`Topology::masked`] of the same mask (see [`dijkstra`]). The
+    /// [`Topology::masked`] of the same mask (see [`settle`]). The
     /// incremental evaluator's full-recompute path.
     ///
     /// # Panics
     /// If `src` is out of range (callers pass validated flat indices).
     pub(crate) fn from_flat(topology: &Topology, src: usize, alive: Option<&[bool]>) -> Self {
         assert!(src < topology.n_nodes(), "flat source out of range");
-        let (dist, prev) = dijkstra(topology, src, None, alive);
-        ShortestPathTree { src, dist, prev, kids: OnceLock::new() }
+        dijkstra(topology, src, alive, length, |_| false)
     }
 
     /// The hop list and length to `to`.
@@ -233,14 +240,13 @@ impl ShortestPathTree {
         let dst = topology
             .index_of(to)
             .ok_or(LsnError::UnknownNode { plane: to.plane, slot: to.slot })?;
-        if self.dist[dst].is_infinite() {
-            return Err(LsnError::NoRoute);
-        }
-        Ok((reconstruct(topology, &self.prev, self.src, dst), self.dist[dst]))
+        let (hops, km) = self.flat_path_to(dst).ok_or(LsnError::NoRoute)?;
+        Ok((hops.into_iter().map(|i| topology.id_of(i).expect("valid index")).collect(), km))
     }
 
     /// The flat hop list and length to flat node `dst`, `None` if
-    /// unreachable.
+    /// unreachable — the one path reconstruction every query reads
+    /// through.
     pub(crate) fn flat_path_to(&self, dst: usize) -> Option<(Vec<usize>, f64)> {
         if self.dist[dst].is_infinite() {
             return None;
@@ -278,25 +284,9 @@ impl ShortestPathTree {
         dead_new: &[usize],
         max_affected: usize,
     ) -> Option<ShortestPathTree> {
-        let (mut dist, mut prev, _, mut heap) =
-            self.cut_region(topology, alive, dead_new, max_affected)?;
-        while let Some(HeapItem { dist: d, node }) = heap.pop() {
-            if d > dist[node] {
-                continue;
-            }
-            for &(v, w) in topology.neighbors(node) {
-                if !alive[v] {
-                    continue;
-                }
-                let nd = d + w;
-                if nd < dist[v] {
-                    dist[v] = nd;
-                    prev[v] = node;
-                    heap.push(HeapItem { dist: nd, node: v });
-                }
-            }
-        }
-        Some(ShortestPathTree { src: self.src, dist, prev, kids: OnceLock::new() })
+        let (mut tree, _, heap) = self.cut_region(topology, alive, dead_new, max_affected)?;
+        settle(topology, Some(alive), &mut tree.dist, &mut tree.prev, heap, length, |_| false);
+        Some(tree)
     }
 
     /// The repaired paths to `targets` only: [`Self::repaired`] with the
@@ -317,66 +307,36 @@ impl ShortestPathTree {
         max_affected: usize,
         targets: &[usize],
     ) -> Option<Vec<Option<(Vec<usize>, f64)>>> {
-        let (mut dist, mut prev, affected, mut heap) =
+        let (mut tree, affected, heap) =
             self.cut_region(topology, alive, dead_new, max_affected)?;
         let mut pending = targets.iter().filter(|&&t| affected[t]).count();
-        while pending > 0 {
-            let Some(HeapItem { dist: d, node }) = heap.pop() else {
-                // Heap exhausted: the remaining affected targets are
-                // unreachable under the mask (their labels stay ∞).
-                break;
+        if pending > 0 {
+            // An exhausted heap leaves the remaining affected targets
+            // unreachable under the mask (their labels stay ∞).
+            let stop = |v: usize| {
+                if affected[v] && targets.contains(&v) {
+                    pending -= 1;
+                }
+                pending == 0
             };
-            if d > dist[node] {
-                continue;
-            }
-            if affected[node] && targets.contains(&node) {
-                pending -= 1;
-            }
-            for &(v, w) in topology.neighbors(node) {
-                if !alive[v] {
-                    continue;
-                }
-                let nd = d + w;
-                if nd < dist[v] {
-                    dist[v] = nd;
-                    prev[v] = node;
-                    heap.push(HeapItem { dist: nd, node: v });
-                }
-            }
+            settle(topology, Some(alive), &mut tree.dist, &mut tree.prev, heap, length, stop);
         }
-        let paths = targets
-            .iter()
-            .map(|&t| {
-                if dist[t].is_infinite() {
-                    return None;
-                }
-                let mut hops = vec![t];
-                let mut cur = t;
-                while cur != self.src {
-                    cur = prev[cur];
-                    hops.push(cur);
-                }
-                hops.reverse();
-                Some((hops, dist[t]))
-            })
-            .collect();
-        Some(paths)
+        Some(targets.iter().map(|&t| tree.flat_path_to(t)).collect())
     }
 
     /// The shared damage-region setup of [`Self::repaired`] and
-    /// [`Self::repaired_paths`]: invalidated labels (dead nodes plus
-    /// their tree descendants reset to ∞) and the heap seeded with every
-    /// unaffected alive node holding an alive edge into the region, at
-    /// its known-final label. `None` when the root died or the region
-    /// exceeds `max_affected`.
-    #[allow(clippy::type_complexity)]
+    /// [`Self::repaired_paths`]: the tree with invalidated labels (dead
+    /// nodes plus their tree descendants reset to ∞), the affected flags,
+    /// and the heap seeded with every unaffected alive node holding an
+    /// alive edge into the region, at its known-final label. `None` when
+    /// the root died or the region exceeds `max_affected`.
     fn cut_region(
         &self,
         topology: &Topology,
         alive: &[bool],
         dead_new: &[usize],
         max_affected: usize,
-    ) -> Option<(Vec<f64>, Vec<usize>, Vec<bool>, BinaryHeap<HeapItem>)> {
+    ) -> Option<(ShortestPathTree, Vec<bool>, BinaryHeap<HeapItem>)> {
         if !alive[self.src] {
             return None;
         }
@@ -430,7 +390,8 @@ impl ShortestPathTree {
                 }
             }
         }
-        Some((dist, prev, affected, heap))
+        let tree = ShortestPathTree { src: self.src, dist, prev, kids: OnceLock::new() };
+        Some((tree, affected, heap))
     }
 }
 

@@ -678,26 +678,11 @@ impl Topology {
         }
     }
 
-    /// Whether the topology is connected (BFS from node 0).
+    /// Whether the topology is connected (every node reaches every
+    /// other; the empty graph counts as connected).
     pub fn is_connected(&self) -> bool {
         let n = self.n_nodes();
-        if n == 0 {
-            return true;
-        }
-        let mut seen = vec![false; n];
-        let mut queue = std::collections::VecDeque::from([0usize]);
-        seen[0] = true;
-        let mut count = 1;
-        while let Some(u) = queue.pop_front() {
-            for &(v, _) in self.neighbors(u) {
-                if !seen[v] {
-                    seen[v] = true;
-                    count += 1;
-                    queue.push_back(v);
-                }
-            }
-        }
-        count == n
+        n == 0 || self.components_among(&vec![true; n]).connected()
     }
 
     /// Whether every satellite flagged alive can reach every other over
@@ -709,25 +694,7 @@ impl Topology {
     /// # Panics
     /// If `alive.len()` is not the node count.
     pub fn is_connected_among(&self, alive: &[bool]) -> bool {
-        assert_eq!(alive.len(), self.n_nodes(), "alive mask length mismatch");
-        let Some(start) = alive.iter().position(|&a| a) else {
-            return false;
-        };
-        let n_alive = alive.iter().filter(|&&a| a).count();
-        let mut seen = vec![false; self.n_nodes()];
-        let mut queue = std::collections::VecDeque::from([start]);
-        seen[start] = true;
-        let mut count = 1;
-        while let Some(u) = queue.pop_front() {
-            for &(v, _) in self.neighbors(u) {
-                if !seen[v] && alive[v] {
-                    seen[v] = true;
-                    count += 1;
-                    queue.push_back(v);
-                }
-            }
-        }
-        count == n_alive
+        self.components_among(alive).connected()
     }
 
     /// Size of the largest connected component among the satellites
@@ -739,29 +706,65 @@ impl Topology {
     /// # Panics
     /// If `alive.len()` is not the node count.
     pub fn largest_component_among(&self, alive: &[bool]) -> usize {
-        assert_eq!(alive.len(), self.n_nodes(), "alive mask length mismatch");
-        let mut seen = vec![false; self.n_nodes()];
-        let mut queue = std::collections::VecDeque::new();
-        let mut largest = 0usize;
-        for start in 0..self.n_nodes() {
-            if !alive[start] || seen[start] {
+        self.components_among(alive).largest()
+    }
+
+    /// The connected components among the nodes flagged alive — the one
+    /// component walk behind every connectivity query.
+    ///
+    /// # Panics
+    /// If `alive.len()` is not the node count.
+    pub(crate) fn components_among(&self, alive: &[bool]) -> Components {
+        let n = self.n_nodes();
+        assert_eq!(alive.len(), n, "alive mask length mismatch");
+        let mut labels = vec![usize::MAX; n];
+        let mut sizes = Vec::new();
+        let mut stack = Vec::new();
+        for start in 0..n {
+            if !alive[start] || labels[start] != usize::MAX {
                 continue;
             }
-            seen[start] = true;
-            queue.push_back(start);
+            let label = sizes.len();
+            labels[start] = label;
+            stack.push(start);
             let mut size = 1usize;
-            while let Some(u) = queue.pop_front() {
+            while let Some(u) = stack.pop() {
                 for &(v, _) in self.neighbors(u) {
-                    if alive[v] && !seen[v] {
-                        seen[v] = true;
+                    if alive[v] && labels[v] == usize::MAX {
+                        labels[v] = label;
                         size += 1;
-                        queue.push_back(v);
+                        stack.push(v);
                     }
                 }
             }
-            largest = largest.max(size);
+            sizes.push(size);
         }
-        largest
+        Components { labels, sizes }
+    }
+}
+
+/// Connected components over an alive mask: two alive nodes share a
+/// label iff the masked topology connects them — the exact reachability
+/// verdict of a masked Dijkstra.
+#[derive(Debug)]
+pub(crate) struct Components {
+    /// Per node: its component, numbered in order of each component's
+    /// lowest node index (`usize::MAX` for dead nodes).
+    pub(crate) labels: Vec<usize>,
+    /// Per component: its node count.
+    pub(crate) sizes: Vec<usize>,
+}
+
+impl Components {
+    /// Whether the alive nodes form exactly one component (no survivors
+    /// is not connected).
+    pub(crate) fn connected(&self) -> bool {
+        self.sizes.len() == 1
+    }
+
+    /// The largest component's node count (0 with no survivors).
+    pub(crate) fn largest(&self) -> usize {
+        self.sizes.iter().copied().max().unwrap_or(0)
     }
 }
 

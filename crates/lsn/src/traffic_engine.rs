@@ -34,18 +34,18 @@
 //! adversarial attack search ([`crate::optimizer`]).
 //!
 //! Everything is deterministic: aggregation and waterfilling iterate
-//! `BTreeMap`s, and the penalized Dijkstra breaks distance ties on node
-//! index exactly like the routing module's.
+//! `BTreeMap`s, and the penalized rounds run the routing module's one
+//! Dijkstra kernel, which breaks distance ties on node index.
 
 use crate::error::Result;
-use crate::routing::ServingIndex;
+use crate::routing::{dijkstra, ServingIndex};
 use crate::snapshot::Snapshot;
 use crate::topology::Topology;
 use crate::traffic::{percentile, Flow};
 use ssplane_astro::geo::GeoPoint;
 use ssplane_demand::gravity::GravityFlow;
 use std::cmp::Ordering;
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Capacity and path-diversity configuration of one assignment.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -143,92 +143,6 @@ impl ServedDemandSummary {
     }
 }
 
-/// Dijkstra state (min-heap on penalized distance, ties on node index so
-/// reconstruction is deterministic).
-#[derive(Debug, PartialEq)]
-struct HeapItem {
-    dist: f64,
-    node: usize,
-}
-
-impl Eq for HeapItem {}
-
-impl Ord for HeapItem {
-    fn cmp(&self, other: &Self) -> Ordering {
-        other
-            .dist
-            .partial_cmp(&self.dist)
-            .unwrap_or(Ordering::Equal)
-            .then(other.node.cmp(&self.node))
-    }
-}
-
-impl PartialOrd for HeapItem {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-/// Full single-source Dijkstra where every directed edge's weight is
-/// inflated by its accumulated penalty — the diversity mechanism of the
-/// k-path rounds. An empty penalty map is the plain shortest-path tree.
-///
-/// `alive` restricts the run to a node mask exactly as
-/// [`Topology::neighbors_alive`] would: relaxations into (or out of) dead
-/// nodes are skipped, so the output is bit-identical to running over
-/// [`Topology::masked`] — the same lengths in the same canonical
-/// `(dist, node)` order, hence the same `prev` choices. Penalty keys are
-/// flat node pairs, which masking preserves (nodes are never renumbered).
-fn penalized_dijkstra(
-    topology: &Topology,
-    src: usize,
-    penalty: &BTreeMap<(usize, usize), f64>,
-    alive: Option<&[bool]>,
-) -> (Vec<f64>, Vec<usize>) {
-    let n = topology.n_nodes();
-    let mut dist = vec![f64::INFINITY; n];
-    let mut prev = vec![usize::MAX; n];
-    let mut heap = BinaryHeap::new();
-    dist[src] = 0.0;
-    // A dead source keeps its zero label but reaches nothing, exactly as
-    // in the masked topology where it has no surviving links.
-    if alive.is_none_or(|m| m[src]) {
-        heap.push(HeapItem { dist: 0.0, node: src });
-    }
-    while let Some(HeapItem { dist: d, node }) = heap.pop() {
-        if d > dist[node] {
-            continue;
-        }
-        for &(next, w) in topology.neighbors(node) {
-            if let Some(m) = alive {
-                if !m[next] {
-                    continue;
-                }
-            }
-            let factor = 1.0 + penalty.get(&(node, next)).copied().unwrap_or(0.0);
-            let nd = d + w * factor;
-            if nd < dist[next] {
-                dist[next] = nd;
-                prev[next] = node;
-                heap.push(HeapItem { dist: nd, node: next });
-            }
-        }
-    }
-    (dist, prev)
-}
-
-/// The node path `src → dst` out of a predecessor array.
-fn reconstruct(prev: &[usize], src: usize, dst: usize) -> Vec<usize> {
-    let mut path = vec![dst];
-    let mut node = dst;
-    while node != src {
-        node = prev[node];
-        path.push(node);
-    }
-    path.reverse();
-    path
-}
-
 /// Stage-1 output: how the flow list classified under some attachment
 /// resolution — shared between the from-scratch assignment and the
 /// incremental evaluator (which replays it with cached per-flow servers).
@@ -264,10 +178,12 @@ where
 /// Stage 2 for one source satellite: `k` rounds of penalized Dijkstra
 /// over `dsts` (ascending — the `BTreeMap` key order the caller groups
 /// by), returning up to `k` deduplicated candidate paths per
-/// destination, shortest first. With an `alive` mask the rounds run
-/// alive-filtered, which is bit-identical to running them over
-/// [`Topology::masked`] (penalties key flat node pairs, and masking
-/// never renumbers nodes).
+/// destination, shortest first. Each round weighs a directed edge by its
+/// length times `1 + penalty`, the penalty counting the earlier rounds
+/// whose paths used it; round one is the plain shortest-path tree. With
+/// an `alive` mask the rounds run alive-filtered, which is bit-identical
+/// to running them over [`Topology::masked`] (penalties key flat node
+/// pairs, and masking never renumbers nodes).
 pub(crate) fn k_paths_for_source(
     topology: &Topology,
     s: usize,
@@ -278,13 +194,12 @@ pub(crate) fn k_paths_for_source(
     let mut penalty: BTreeMap<(usize, usize), f64> = BTreeMap::new();
     let mut paths: BTreeMap<usize, Vec<Vec<usize>>> = BTreeMap::new();
     for round in 0..k {
-        let (dist, prev) = penalized_dijkstra(topology, s, &penalty, alive);
+        let weight =
+            |u: usize, v: usize, w: f64| w * (1.0 + penalty.get(&(u, v)).copied().unwrap_or(0.0));
+        let tree = dijkstra(topology, s, alive, weight, |_| false);
         let mut round_edges: BTreeSet<(usize, usize)> = BTreeSet::new();
         for &d in dsts {
-            if !dist[d].is_finite() {
-                continue;
-            }
-            let path = reconstruct(&prev, s, d);
+            let Some((path, _)) = tree.flat_path_to(d) else { continue };
             for hop in path.windows(2) {
                 round_edges.insert((hop[0], hop[1]));
             }
@@ -435,9 +350,13 @@ pub fn assign_capacity_constrained(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::routing::ShortestPathTree;
     use crate::snapshot::SnapshotSeries;
     use crate::topology::{Constellation, GridTopologyConfig};
+    use proptest::collection;
     use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
     use ssplane_astro::kepler::OrbitalElements;
     use ssplane_astro::sunsync::sun_synchronous_orbit;
     use ssplane_astro::time::Epoch;
@@ -603,6 +522,86 @@ mod tests {
         assert_eq!(summary.offered, 0.0);
         assert_eq!(summary.served_fraction, 0.0);
         assert_eq!(summary.utilization_max, 0.0);
+    }
+
+    /// Pins the one-round k-path entry point to the plain masked tree:
+    /// for every destination, `k = 1` returns exactly the tree's path,
+    /// or nothing when the tree has none. The source picked by
+    /// `src_pick` is checked alive and then dead, where it is labelled 0
+    /// and reaches nothing on both sides.
+    fn assert_one_round_matches_tree(
+        c: &Constellation,
+        kill: f64,
+        mask_seed: u64,
+        src_pick: usize,
+    ) {
+        let series = SnapshotSeries::build(c, &[Epoch::J2000]).unwrap();
+        let topo = Topology::plus_grid(&series.snapshot(0), GridTopologyConfig::default()).unwrap();
+        let n = topo.n_nodes();
+        let mut rng = StdRng::seed_from_u64(mask_seed);
+        let mut alive: Vec<bool> = (0..n).map(|_| rng.gen::<f64>() >= kill).collect();
+        let s = src_pick % n;
+        let dsts: Vec<usize> = (0..n).collect();
+        for source_alive in [true, false] {
+            alive[s] = source_alive;
+            let paths = k_paths_for_source(&topo, s, &dsts, 1, Some(&alive));
+            let tree = ShortestPathTree::from_flat(&topo, s, Some(&alive));
+            for d in 0..n {
+                let expected = tree.flat_path_to(d).map(|(hops, _)| vec![hops]);
+                assert_eq!(paths.get(&d), expected.as_ref(), "source {s} destination {d}");
+            }
+            if !source_alive {
+                assert_eq!(paths.keys().copied().collect::<Vec<_>>(), vec![s], "dead source");
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        #[test]
+        fn one_round_k_paths_match_the_tree_on_random_sunsync_masks(
+            ltans in collection::vec(0.0f64..24.0, 2usize..6),
+            slot_counts in collection::vec(3usize..16, 2usize..6),
+            kill in 0.0f64..0.6,
+            mask_seed in 0u64..10_000,
+            src_pick in 0usize..1000,
+        ) {
+            let orbit = sun_synchronous_orbit(700.0).unwrap();
+            let planes: Vec<Vec<OrbitalElements>> = ltans
+                .iter()
+                .zip(&slot_counts)
+                .map(|(&ltan, &slots)| orbit.with_ltan(ltan).plane_elements(Epoch::J2000, slots).unwrap())
+                .collect();
+            let c = Constellation::new(Epoch::J2000, planes).unwrap();
+            assert_one_round_matches_tree(&c, kill, mask_seed, src_pick);
+        }
+
+        #[test]
+        fn one_round_k_paths_match_the_tree_on_random_walker_masks(
+            total in 40usize..120,
+            planes in 2usize..7,
+            inclination_deg in 40.0f64..90.0,
+            kill in 0.0f64..0.6,
+            mask_seed in 0u64..10_000,
+            src_pick in 0usize..1000,
+        ) {
+            let per_plane = (total / planes).max(1);
+            let pattern = ssplane_astro::walker::WalkerDelta::new(
+                550.0,
+                inclination_deg.to_radians(),
+                per_plane * planes,
+                planes,
+                0,
+            )
+            .unwrap()
+            .generate()
+            .unwrap();
+            let element_planes: Vec<Vec<OrbitalElements>> =
+                pattern.chunks(per_plane).map(<[_]>::to_vec).collect();
+            let c = Constellation::from_planes(Epoch::J2000, element_planes).unwrap();
+            assert_one_round_matches_tree(&c, kill, mask_seed, src_pick);
+        }
     }
 
     proptest! {

@@ -292,6 +292,7 @@ proptest! {
         let alive: Vec<bool> = (0..topo.n_nodes()).map(|_| rng.gen::<f64>() >= kill).collect();
         let stats = ClusterTracker::from_alive(&topo, &alive).stats();
         prop_assert_eq!(stats.largest, topo.largest_component_among(&alive));
+        prop_assert_eq!(topo.is_connected_among(&alive), stats.components == 1);
         prop_assert_eq!(stats.active, alive.iter().filter(|&&a| a).count());
         prop_assert!(stats.sum_sq >= (stats.largest as u64).pow(2), "second moment holds the giant");
     }
@@ -325,6 +326,7 @@ proptest! {
         let alive: Vec<bool> = (0..topo.n_nodes()).map(|_| rng.gen::<f64>() >= kill).collect();
         let stats = ClusterTracker::from_alive(&topo, &alive).stats();
         prop_assert_eq!(stats.largest, topo.largest_component_among(&alive));
+        prop_assert_eq!(topo.is_connected_among(&alive), stats.components == 1);
         prop_assert_eq!(stats.active, alive.iter().filter(|&&a| a).count());
     }
 

@@ -1346,14 +1346,18 @@ mod tests {
         use crate::toml::TomlValue;
         let mut base = ScenarioSpec::named("huge");
         base.network.enabled = true;
-        // Each used to abort the process (a failed 28.8-440 GB
-        // allocation, or a panic on non-finite delays) with no output.
+        base.traffic.model = TrafficModel::Gravity;
+        // Each used to abort the process (a failed allocation of up to
+        // 4·10¹⁶ bytes, or a panic on non-finite delays) with no output.
         for (param, value) in [
             ("network.time_grid_slots", TomlValue::Int(100_000_000)),
             ("network.slots", TomlValue::Int(100_000_000)),
             ("demand.tod_bins", TomlValue::Int(100_000_000)),
             ("demand.lat_bins", TomlValue::Int(100_000_000)),
             ("network.time_grid_slot_s", TomlValue::Float(1e300)),
+            ("network.percolation_steps", TomlValue::Int(1_000_000_000_000_000)),
+            ("network.n_flows", TomlValue::Int(1_000_000_000_000_000)),
+            ("traffic.pairs", TomlValue::Int(1_000_000_000_000_000)),
         ] {
             let axes = vec![SweepAxis { param: param.to_string(), values: vec![value] }];
             let sweep = SweepSpec { base: base.clone(), axes };

@@ -576,6 +576,15 @@ const MAX_GRID_SPAN_S: f64 = 366.0 * 86_400.0;
 const MAX_LAT_BINS: usize = 1800;
 /// Most `demand.tod_bins` (one-minute bins).
 const MAX_TOD_BINS: usize = 1440;
+/// Most sampled flows `network.n_flows` may ask for: every flow is routed
+/// and reported in every time-grid slot.
+const MAX_FLOWS: usize = 10_000;
+/// Most gravity-model flows `traffic.pairs` may draw (ten times the
+/// default).
+const MAX_PAIRS: usize = 1_000_000;
+/// Most `network.percolation_steps`: each step is one sample of every
+/// percolation curve.
+const MAX_PERCOLATION_STEPS: usize = 10_000;
 
 /// One fully-specified experiment.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -671,7 +680,9 @@ impl ScenarioSpec {
         check(traffic.k_paths > 0, "traffic.k_paths", 0, ">= 1")?;
         let gravity = traffic.model == TrafficModel::Gravity;
         if gravity {
-            check(traffic.pairs > 0, "traffic.pairs", 0, ">= 1")?;
+            let pairs = traffic.pairs;
+            check(pairs > 0, "traffic.pairs", 0, ">= 1")?;
+            check(pairs <= MAX_PAIRS, "traffic.pairs", pairs, &format!("<= {MAX_PAIRS}"))?;
             let distinct = ">= 2 (the gravity model needs distinct endpoints)";
             check(traffic.sites >= 2, "traffic.sites", traffic.sites, distinct)?;
         }
@@ -687,6 +698,8 @@ impl ScenarioSpec {
                 "network.enabled = true (the sweep replays the network stage's topologies)";
             return check(!net.percolation, "network.percolation", true, replays);
         }
+        let flows = net.n_flows;
+        check(flows <= MAX_FLOWS, "network.n_flows", flows, &format!("<= {MAX_FLOWS}"))?;
         check(net.time_grid_slots > 0, "network.time_grid_slots", 0, ">= 1")?;
         for (slots_key, slots, dt_key, dt) in [
             ("network.slots", net.slots, "network.slot_s", net.slot_s),
@@ -712,7 +725,10 @@ impl ScenarioSpec {
         // The runner forwards the percolation knobs (they also configure
         // the masking-threshold objective) and the scorer's damage
         // threshold whenever the network stage runs.
-        check(net.percolation_steps > 0, "network.percolation_steps", 0, ">= 1")?;
+        let steps = net.percolation_steps;
+        check(steps > 0, "network.percolation_steps", 0, ">= 1")?;
+        let max_steps = format!("<= {MAX_PERCOLATION_STEPS}");
+        check(steps <= MAX_PERCOLATION_STEPS, "network.percolation_steps", steps, &max_steps)?;
         let gap = net.percolation_gap;
         let gap_ok = gap.is_finite() && gap > 0.0 && gap < 1.0;
         check(gap_ok, "network.percolation_gap", gap, "a fraction in (0, 1)")?;
