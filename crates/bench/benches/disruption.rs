@@ -12,7 +12,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use ssplane_astro::geo::GeoPoint;
 use ssplane_astro::time::Epoch;
 use ssplane_astro::walker::WalkerDelta;
-use ssplane_lsn::disruption::{AttackModel, AttackTarget, RadiationExponential, RandomSats};
+use ssplane_lsn::disruption::{AttackTarget, FixedAttack, RadiationExponential};
 use ssplane_lsn::failures::FailureModel;
 use ssplane_lsn::snapshot::{time_grid, SnapshotSeries};
 use ssplane_lsn::spares::SparePolicy;
@@ -107,7 +107,7 @@ fn bench_disruption(criterion: &mut Criterion) {
         plane_groups: (0..PLANES).collect(),
         epoch: start,
     };
-    let attack = RandomSats { sats_lost: total / 10 };
+    let attack = FixedAttack::RandomSats { sats_lost: total / 10 };
     let destroyed = attack.destroyed(&target, 42).unwrap();
     let mut alive_base = vec![true; total];
     for id in &destroyed {

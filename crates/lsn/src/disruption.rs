@@ -1,18 +1,27 @@
-//! The pluggable disruption API: attacks and failure processes.
+//! The disruption API: attacks and failure processes.
 //!
 //! The paper's survivability argument (§3.2, §5) is about how a
 //! constellation *degrades* — under deliberate attacks and
 //! radiation-driven failures — yet the original model was a hard-coded
 //! "remove k strided planes" helper plus one closed exponential renewal
 //! loop, neither of which ever touched the network. This module opens
-//! both surfaces, mirroring the `ssplane_core::system::Designer`
-//! registry pattern:
+//! both surfaces:
 //!
-//! * an [`AttackModel`] maps a constellation (an [`AttackTarget`] view of
-//!   its planes) to the set of destroyed slots — shipped models:
-//!   [`LeadingPlanes`] (byte-compatible with the historical strided
-//!   plane-loss helper), [`RandomSats`], [`DeclinationBand`] (a
-//!   debris-event-like regional loss), and [`WholeShell`];
+//! * a `UnitSet` splits a constellation into attack units — one per
+//!   plane, per satellite, or per evaluation shell — and every attack is
+//!   a selection of units expanded into destroyed slots. A
+//!   [`FixedAttack`] is one such selection on an [`AttackTarget`] (a view
+//!   of the constellation's planes): strided whole planes
+//!   ([`FixedAttack::LeadingPlanes`], byte-compatible with the historical
+//!   strided plane-loss helper), a seeded random prefix of the satellites
+//!   ([`FixedAttack::RandomSats`]), the satellites inside a declination
+//!   band ([`FixedAttack::DeclinationBand`], a debris-event-like regional
+//!   loss), or one whole shell ([`FixedAttack::Shell`]). The attack
+//!   search ([`crate::optimizer`]) chooses selections from the same unit
+//!   sets, and [`crate::percolation`] visits plane units in sequence. A
+//!   plane attack is a selection and not the prefix of one ordering: the
+//!   strided plane sets are not nested (six planes: two lost → {0, 3},
+//!   three lost → {0, 2, 4});
 //! * a [`FailureProcess`] samples satellite lifetimes — shipped
 //!   processes: [`RadiationExponential`] (the historical fluence-driven
 //!   exponential) and [`WeibullBathtub`] (infant mortality plus
@@ -26,9 +35,10 @@
 
 use crate::error::{LsnError, Result};
 use crate::failures::FailureModel;
+use crate::percolation::random_ordering;
 use crate::topology::SatId;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 use ssplane_astro::kepler::OrbitalElements;
 use ssplane_astro::propagate::J2Propagator;
 use ssplane_astro::time::Epoch;
@@ -48,34 +58,83 @@ pub struct AttackTarget<'a> {
     pub epoch: Epoch,
 }
 
-impl AttackTarget<'_> {
-    /// Total satellites across planes.
-    pub fn total_sats(&self) -> usize {
-        self.planes.iter().map(|p| p.len()).sum()
-    }
+/// The units an attack selects from, each owning a run of satellite
+/// slots: one unit per plane, per satellite (plane-major), or per
+/// evaluation group. Built from the per-plane satellite counts alone, so
+/// the design-level attacks and the network-level search share it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct UnitSet {
+    /// Every unit's satellites, unit after unit (plane-major within one).
+    members: Vec<SatId>,
+    /// Where each unit's run starts in `members`, with a trailing total.
+    starts: Vec<usize>,
 }
 
-/// A deliberate-attack model: maps a constellation to the set of
-/// destroyed slots. Implementations must be deterministic in
-/// `(target, seed)` — the scenario engine's byte-identical-output
-/// contract extends to attacks.
-pub trait AttackModel {
-    /// The model's registry name (also its config token).
-    fn name(&self) -> &'static str;
+impl UnitSet {
+    /// One unit per plane; `plane_sats[p]` is plane `p`'s satellite count.
+    pub(crate) fn planes(plane_sats: &[usize]) -> Self {
+        let tags: Vec<usize> = (0..plane_sats.len()).collect();
+        UnitSet::shells(plane_sats, &tags)
+    }
 
-    /// The destroyed slots, sorted plane-major, each listed once.
+    /// One unit per satellite, plane-major.
+    pub(crate) fn sats(plane_sats: &[usize]) -> Self {
+        let members: Vec<SatId> = plane_sats
+            .iter()
+            .enumerate()
+            .flat_map(|(plane, &n)| (0..n).map(move |slot| SatId { plane, slot }))
+            .collect();
+        UnitSet { starts: (0..=members.len()).collect(), members }
+    }
+
+    /// One unit per evaluation group `0..=max(plane_groups)`, owning the
+    /// planes tagged with it (a tag no plane carries is an empty unit).
     ///
-    /// # Errors
-    /// Model-specific configuration failure (e.g. a shell index outside
-    /// the target's groups).
-    fn destroyed(&self, target: &AttackTarget<'_>, seed: u64) -> Result<Vec<SatId>>;
+    /// # Panics
+    /// If a tagged plane has no entry in `plane_sats`.
+    pub(crate) fn shells(plane_sats: &[usize], plane_groups: &[usize]) -> Self {
+        let n_groups = plane_groups.iter().max().map_or(0, |&g| g + 1);
+        let mut planes_of = vec![Vec::new(); n_groups];
+        for (p, &g) in plane_groups.iter().enumerate() {
+            planes_of[g].push(p);
+        }
+        let mut members = Vec::new();
+        let mut starts = vec![0];
+        for planes in planes_of {
+            for plane in planes {
+                members.extend((0..plane_sats[plane]).map(|slot| SatId { plane, slot }));
+            }
+            starts.push(members.len());
+        }
+        UnitSet { members, starts }
+    }
+
+    /// How many units there are.
+    pub(crate) fn n_units(&self) -> usize {
+        self.starts.len() - 1
+    }
+
+    /// Unit `u`'s satellites, plane-major.
+    pub(crate) fn members(&self, u: usize) -> &[SatId] {
+        &self.members[self.starts[u]..self.starts[u + 1]]
+    }
+
+    /// The destroyed set of a selection of distinct units, sorted
+    /// plane-major.
+    pub(crate) fn expand(&self, selection: &[usize]) -> Vec<SatId> {
+        let mut out: Vec<SatId> =
+            selection.iter().flat_map(|&u| self.members(u).iter().copied()).collect();
+        out.sort_unstable();
+        out
+    }
 }
 
 /// The plane indices removed by a `planes_lost`-plane attack on `n`
 /// planes: evenly strided so the loss spreads across the constellation
 /// (the strongest variant of the attack for a +grid topology). This is
 /// the exact historical `attacked_indices` selection, kept as a free
-/// function so the parity test can pin [`LeadingPlanes`] against it.
+/// function so the parity test can pin [`FixedAttack::LeadingPlanes`]
+/// against it.
 pub fn strided_plane_indices(n: usize, planes_lost: usize) -> Vec<usize> {
     let lost = planes_lost.min(n);
     if lost == 0 {
@@ -84,136 +143,92 @@ pub fn strided_plane_indices(n: usize, planes_lost: usize) -> Vec<usize> {
     (0..lost).map(|k| k * n / lost).collect()
 }
 
-/// Whole-plane loss at evenly strided plane indices — byte-compatible
-/// with the historical `attacked_indices` scenario helper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LeadingPlanes {
-    /// Whole planes destroyed (clamped to the plane count).
-    pub planes_lost: usize,
-}
-
-impl AttackModel for LeadingPlanes {
-    fn name(&self) -> &'static str {
-        "leading-planes"
-    }
-
-    fn destroyed(&self, target: &AttackTarget<'_>, _seed: u64) -> Result<Vec<SatId>> {
-        let hit = strided_plane_indices(target.planes.len(), self.planes_lost);
-        Ok(hit
-            .into_iter()
-            .flat_map(|p| (0..target.planes[p].len()).map(move |s| SatId { plane: p, slot: s }))
-            .collect())
-    }
-}
-
-/// Uniform random satellite loss: `sats_lost` distinct satellites drawn
-/// without replacement, seeded — the "shot noise" counterpart of the
-/// structured plane attack.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RandomSats {
-    /// Satellites destroyed (clamped to the fleet size).
-    pub sats_lost: usize,
-}
-
-impl AttackModel for RandomSats {
-    fn name(&self) -> &'static str {
-        "random-sats"
-    }
-
-    fn destroyed(&self, target: &AttackTarget<'_>, seed: u64) -> Result<Vec<SatId>> {
-        let ids: Vec<SatId> = target
-            .planes
-            .iter()
-            .enumerate()
-            .flat_map(|(p, plane)| (0..plane.len()).map(move |s| SatId { plane: p, slot: s }))
-            .collect();
-        let lost = self.sats_lost.min(ids.len());
-        // Partial Fisher-Yates over the flat id list: the first `lost`
-        // entries after shuffling are the victims. The per-step draw is
-        // the shared `gen_index` float-scaled recipe, so the seeded
-        // victim sets are byte-identical to the historical inline draw.
-        let mut pool = ids;
-        let mut rng = StdRng::seed_from_u64(seed);
-        for k in 0..lost {
-            let j = k + rng.gen_index(pool.len() - k);
-            pool.swap(k, j);
-        }
-        let mut out: Vec<SatId> = pool.into_iter().take(lost).collect();
-        out.sort_unstable();
-        Ok(out)
-    }
-}
-
-/// Regional loss à la a debris event: every satellite whose geocentric
-/// declination at the target epoch falls inside `[min_deg, max_deg]` is
-/// destroyed — the signature of a fragmentation cloud spread along a
-/// latitude band.
+/// A fixed attack: one selection of units from a `UnitSet` of the
+/// target. Deterministic in `(target, seed)` — the scenario engine's
+/// byte-identical-output contract extends to attacks.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DeclinationBand {
-    /// Band lower edge \[deg\].
-    pub min_deg: f64,
-    /// Band upper edge \[deg\].
-    pub max_deg: f64,
+pub enum FixedAttack {
+    /// Whole-plane loss: the plane units at [`strided_plane_indices`].
+    LeadingPlanes {
+        /// Whole planes destroyed (clamped to the plane count).
+        planes_lost: usize,
+    },
+    /// Uniform random satellite loss: the first `sats_lost` satellite
+    /// units of the seeded [`random_ordering`] — the "shot noise"
+    /// counterpart of the structured plane attack.
+    RandomSats {
+        /// Satellites destroyed (clamped to the fleet size).
+        sats_lost: usize,
+    },
+    /// Regional loss à la a debris event: every satellite unit whose
+    /// geocentric declination at the target epoch falls inside
+    /// `[min_deg, max_deg]` — the signature of a fragmentation cloud
+    /// spread along a latitude band.
+    DeclinationBand {
+        /// Band lower edge \[deg\].
+        min_deg: f64,
+        /// Band upper edge \[deg\].
+        max_deg: f64,
+    },
+    /// Whole-shell loss: the evaluation-group unit `shell` (for an SS
+    /// design a "shell" is one plane; for Walker the whole stacked shell;
+    /// for RGT the entire track).
+    Shell {
+        /// The evaluation-group index to destroy.
+        shell: usize,
+    },
 }
 
-impl AttackModel for DeclinationBand {
-    fn name(&self) -> &'static str {
-        "declination-band"
-    }
-
-    fn destroyed(&self, target: &AttackTarget<'_>, _seed: u64) -> Result<Vec<SatId>> {
-        if !(self.min_deg.is_finite() && self.max_deg.is_finite() && self.min_deg <= self.max_deg) {
-            return Err(LsnError::BadParameter {
-                name: "DeclinationBand",
-                constraint: "finite min_deg <= max_deg",
-            });
-        }
-        let (lo, hi) = (self.min_deg.to_radians(), self.max_deg.to_radians());
-        let mut out = Vec::new();
-        for (p, plane) in target.planes.iter().enumerate() {
-            for (s, el) in plane.iter().enumerate() {
-                let r = J2Propagator::new(target.epoch, *el)?.position_at(target.epoch)?;
-                let dec = (r.z / r.norm()).asin();
-                if (lo..=hi).contains(&dec) {
-                    out.push(SatId { plane: p, slot: s });
+impl FixedAttack {
+    /// The destroyed slots, sorted plane-major, each listed once.
+    ///
+    /// # Errors
+    /// A non-finite or inverted declination band, a shell index outside
+    /// the target's evaluation groups, or a propagation failure.
+    pub fn destroyed(&self, target: &AttackTarget<'_>, seed: u64) -> Result<Vec<SatId>> {
+        let plane_sats: Vec<usize> = target.planes.iter().map(|p| p.len()).collect();
+        match *self {
+            FixedAttack::LeadingPlanes { planes_lost } => {
+                let hit = strided_plane_indices(plane_sats.len(), planes_lost);
+                Ok(UnitSet::planes(&plane_sats).expand(&hit))
+            }
+            FixedAttack::RandomSats { sats_lost } => {
+                let sats = UnitSet::sats(&plane_sats);
+                let mut hit = random_ordering(sats.n_units(), seed);
+                hit.truncate(sats_lost);
+                Ok(sats.expand(&hit))
+            }
+            FixedAttack::DeclinationBand { min_deg, max_deg } => {
+                if !(min_deg.is_finite() && max_deg.is_finite() && min_deg <= max_deg) {
+                    return Err(LsnError::BadParameter {
+                        name: "FixedAttack::DeclinationBand",
+                        constraint: "finite min_deg <= max_deg",
+                    });
                 }
+                let band = min_deg.to_radians()..=max_deg.to_radians();
+                let sats = UnitSet::sats(&plane_sats);
+                let mut hit = Vec::new();
+                for u in 0..sats.n_units() {
+                    let id = sats.members(u)[0];
+                    let el = target.planes[id.plane][id.slot];
+                    let r = J2Propagator::new(target.epoch, el)?.position_at(target.epoch)?;
+                    if band.contains(&(r.z / r.norm()).asin()) {
+                        hit.push(u);
+                    }
+                }
+                Ok(sats.expand(&hit))
+            }
+            FixedAttack::Shell { shell } => {
+                let shells = UnitSet::shells(&plane_sats, &target.plane_groups);
+                if shell >= shells.n_units() {
+                    return Err(LsnError::BadParameter {
+                        name: "FixedAttack::Shell",
+                        constraint: "< the target's evaluation-group count",
+                    });
+                }
+                Ok(shells.expand(&[shell]))
             }
         }
-        Ok(out)
-    }
-}
-
-/// Whole-shell loss: every plane tagged with evaluation group `shell` is
-/// destroyed (for an SS design a "shell" is one plane; for Walker the
-/// whole stacked shell; for RGT the entire track).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WholeShell {
-    /// The evaluation-group index to destroy.
-    pub shell: usize,
-}
-
-impl AttackModel for WholeShell {
-    fn name(&self) -> &'static str {
-        "shell"
-    }
-
-    fn destroyed(&self, target: &AttackTarget<'_>, _seed: u64) -> Result<Vec<SatId>> {
-        let n_groups = target.plane_groups.iter().max().map_or(0, |&g| g + 1);
-        if self.shell >= n_groups {
-            return Err(LsnError::BadParameter {
-                name: "WholeShell::shell",
-                constraint: "< the target's evaluation-group count",
-            });
-        }
-        Ok(target
-            .plane_groups
-            .iter()
-            .enumerate()
-            .filter(|&(_, &g)| g == self.shell)
-            .flat_map(|(p, _)| {
-                (0..target.planes[p].len()).map(move |s| SatId { plane: p, slot: s })
-            })
-            .collect())
     }
 }
 
@@ -442,6 +457,7 @@ impl OutageTimeline {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::SeedableRng;
     use ssplane_astro::sunsync::sun_synchronous_orbit;
 
     fn elements(planes: usize, slots: usize) -> Vec<Vec<OrbitalElements>> {
@@ -468,7 +484,8 @@ mod tests {
             let planes = elements(n, 4);
             for lost in 0..=n + 3 {
                 let t = target(&planes, (0..n).collect());
-                let destroyed = LeadingPlanes { planes_lost: lost }.destroyed(&t, 99).unwrap();
+                let destroyed =
+                    FixedAttack::LeadingPlanes { planes_lost: lost }.destroyed(&t, 99).unwrap();
                 let expect: Vec<SatId> = strided_plane_indices(n, lost)
                     .into_iter()
                     .flat_map(|p| (0..4).map(move |s| SatId { plane: p, slot: s }))
@@ -486,17 +503,17 @@ mod tests {
     fn random_sats_deterministic_distinct_and_clamped() {
         let planes = elements(5, 8);
         let t = target(&planes, (0..5).collect());
-        let a = RandomSats { sats_lost: 13 }.destroyed(&t, 7).unwrap();
-        let b = RandomSats { sats_lost: 13 }.destroyed(&t, 7).unwrap();
+        let a = FixedAttack::RandomSats { sats_lost: 13 }.destroyed(&t, 7).unwrap();
+        let b = FixedAttack::RandomSats { sats_lost: 13 }.destroyed(&t, 7).unwrap();
         assert_eq!(a, b, "same seed, same victims");
         assert_eq!(a.len(), 13);
         assert!(a.windows(2).all(|w| w[0] < w[1]), "sorted and distinct");
-        let c = RandomSats { sats_lost: 13 }.destroyed(&t, 8).unwrap();
+        let c = FixedAttack::RandomSats { sats_lost: 13 }.destroyed(&t, 8).unwrap();
         assert_ne!(a, c, "different seed, different victims");
         // Clamp: asking for more than the fleet destroys the fleet.
-        let all = RandomSats { sats_lost: 10_000 }.destroyed(&t, 7).unwrap();
+        let all = FixedAttack::RandomSats { sats_lost: 10_000 }.destroyed(&t, 7).unwrap();
         assert_eq!(all.len(), 40);
-        assert_eq!(RandomSats { sats_lost: 0 }.destroyed(&t, 7).unwrap(), Vec::new());
+        assert_eq!(FixedAttack::RandomSats { sats_lost: 0 }.destroyed(&t, 7).unwrap(), Vec::new());
     }
 
     #[test]
@@ -509,7 +526,7 @@ mod tests {
         let t = target(&planes, (0..6).collect());
         for seed in [0u64, 7, 42, 0xDEAD_BEEF] {
             for lost in [1usize, 5, 17, 42] {
-                let got = RandomSats { sats_lost: lost }.destroyed(&t, seed).unwrap();
+                let got = FixedAttack::RandomSats { sats_lost: lost }.destroyed(&t, seed).unwrap();
                 let mut pool: Vec<SatId> =
                     (0..6).flat_map(|p| (0..7).map(move |s| SatId { plane: p, slot: s })).collect();
                 let mut rng = StdRng::seed_from_u64(seed);
@@ -529,9 +546,12 @@ mod tests {
     fn declination_band_hits_the_band_only() {
         let planes = elements(3, 20);
         let t = target(&planes, vec![0, 1, 2]);
-        let destroyed = DeclinationBand { min_deg: -15.0, max_deg: 15.0 }.destroyed(&t, 0).unwrap();
+        let total: usize = planes.iter().map(Vec::len).sum();
+        let destroyed = FixedAttack::DeclinationBand { min_deg: -15.0, max_deg: 15.0 }
+            .destroyed(&t, 0)
+            .unwrap();
         assert!(!destroyed.is_empty(), "a 20-slot polar plane crosses the equator band");
-        assert!(destroyed.len() < t.total_sats(), "a narrow band spares the rest");
+        assert!(destroyed.len() < total, "a narrow band spares the rest");
         for id in &destroyed {
             let el = planes[id.plane][id.slot];
             let r = J2Propagator::new(Epoch::J2000, el).unwrap().position_at(Epoch::J2000).unwrap();
@@ -539,9 +559,13 @@ mod tests {
             assert!((-15.0..=15.0).contains(&dec), "victim at dec {dec}");
         }
         // The full sphere takes everything; an inverted band is an error.
-        let all = DeclinationBand { min_deg: -90.0, max_deg: 90.0 }.destroyed(&t, 0).unwrap();
-        assert_eq!(all.len(), t.total_sats());
-        assert!(DeclinationBand { min_deg: 10.0, max_deg: -10.0 }.destroyed(&t, 0).is_err());
+        let all = FixedAttack::DeclinationBand { min_deg: -90.0, max_deg: 90.0 }
+            .destroyed(&t, 0)
+            .unwrap();
+        assert_eq!(all.len(), total);
+        assert!(FixedAttack::DeclinationBand { min_deg: 10.0, max_deg: -10.0 }
+            .destroyed(&t, 0)
+            .is_err());
     }
 
     #[test]
@@ -549,10 +573,33 @@ mod tests {
         let planes = elements(4, 6);
         // Planes 0/1 form shell 0, planes 2/3 shell 1.
         let t = target(&planes, vec![0, 0, 1, 1]);
-        let destroyed = WholeShell { shell: 1 }.destroyed(&t, 0).unwrap();
+        let destroyed = FixedAttack::Shell { shell: 1 }.destroyed(&t, 0).unwrap();
         assert_eq!(destroyed.len(), 12);
         assert!(destroyed.iter().all(|id| id.plane >= 2));
-        assert!(WholeShell { shell: 2 }.destroyed(&t, 0).is_err());
+        assert!(FixedAttack::Shell { shell: 2 }.destroyed(&t, 0).is_err());
+    }
+
+    #[test]
+    fn unit_sets_partition_the_fleet_and_expand_sorted() {
+        // Three planes of 3, 0 and 2 satellites; planes 0/1 share group 1.
+        let plane_sats = [3usize, 0, 2];
+        let id = |plane, slot| SatId { plane, slot };
+        let planes = UnitSet::planes(&plane_sats);
+        assert_eq!(planes.n_units(), 3);
+        assert!(planes.members(1).is_empty(), "an empty plane is an empty unit");
+        assert_eq!(planes.expand(&[2, 0]), vec![id(0, 0), id(0, 1), id(0, 2), id(2, 0), id(2, 1)]);
+        let sats = UnitSet::sats(&plane_sats);
+        assert_eq!(sats.n_units(), 5);
+        assert_eq!(sats.members(3), &[id(2, 0)]);
+        assert_eq!(sats.expand(&[4, 0]), vec![id(0, 0), id(2, 1)]);
+        let shells = UnitSet::shells(&plane_sats, &[1, 1, 0]);
+        assert_eq!(shells.n_units(), 2);
+        assert_eq!(shells.members(0), &[id(2, 0), id(2, 1)]);
+        assert_eq!(shells.expand(&[1]), vec![id(0, 0), id(0, 1), id(0, 2)]);
+        // Why a plane attack is a selection and not one ordering's
+        // prefix: the strided sets are not nested.
+        assert_eq!(strided_plane_indices(6, 2), vec![0, 3]);
+        assert_eq!(strided_plane_indices(6, 3), vec![0, 2, 4]);
     }
 
     #[test]

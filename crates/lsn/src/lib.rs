@@ -24,15 +24,16 @@
 //!   served-demand fraction and link-utilization percentiles.
 //! * [`failures`] — radiation-driven failure processes: per-satellite
 //!   hazard proportional to accumulated fluence (§3.2's mechanism).
-//! * [`disruption`] — the pluggable disruption API: [`AttackModel`]s
-//!   mapping a constellation to destroyed slots (strided plane loss,
-//!   random loss, declination-band debris events, whole-shell loss),
+//! * [`disruption`] — the disruption API: [`FixedAttack`]s, each a
+//!   selection from a unit set of planes, satellites or shells
+//!   (strided plane loss, random loss, declination-band debris events,
+//!   whole-shell loss),
 //!   [`FailureProcess`]es sampling satellite lifetimes (the radiation
 //!   exponential, a Weibull bathtub), and the [`OutageTimeline`] of
 //!   per-satellite outage intervals that couples both into the network
 //!   stage via [`Snapshot`] alive masks.
 //! * [`percolation`] — percolation & robustness analytics: an
-//!   incremental union-find [`ClusterTracker`] replaying attack-registry
+//!   incremental union-find [`ClusterTracker`] replaying attack
 //!   removal orderings into loss-fraction phase-transition curves
 //!   (giant-component fraction, susceptibility χ, mean finite-cluster
 //!   size), algebraic connectivity λ₂ via a deterministic deflated power
@@ -56,7 +57,7 @@
 //!   (§5(2): *lighter-weight fault tolerance for low-radiation
 //!   constellations*), now a scalar reduction of the outage timeline.
 //!
-//! [`AttackModel`]: disruption::AttackModel
+//! [`FixedAttack`]: disruption::FixedAttack
 //! [`ClusterTracker`]: percolation::ClusterTracker
 //! [`FailureProcess`]: disruption::FailureProcess
 //! [`OutageTimeline`]: disruption::OutageTimeline
@@ -80,7 +81,7 @@ pub mod topology;
 pub mod traffic;
 pub mod traffic_engine;
 
-pub use disruption::{AttackModel, AttackTarget, FailureProcess, OutageTimeline};
+pub use disruption::{AttackTarget, FailureProcess, FixedAttack, OutageTimeline};
 pub use error::{LsnError, Result};
 pub use optimizer::{AttackObjective, AttackSearchConfig, DegradedEvaluator, IncrementalScorer};
 pub use percolation::{ClusterTracker, Lambda2Config, PercolationCurve};

@@ -1,7 +1,7 @@
 //! Adversarial attack search: find the destroyed set that hurts the
 //! routed network most.
 //!
-//! The fixed [`crate::disruption::AttackModel`]s answer "what does *this*
+//! The [`crate::disruption::FixedAttack`]s answer "what does *this*
 //! attack cost?"; the paper's survivability claim needs the converse —
 //! "what is the **worst** attack a bounded adversary can mount?" ("Your
 //! Mega-Constellations Can Be Slim" judges designs the same way: against
@@ -42,6 +42,7 @@ pub mod incremental;
 
 pub use incremental::IncrementalScorer;
 
+use crate::disruption::{strided_plane_indices, UnitSet};
 use crate::error::Result;
 use crate::snapshot::SnapshotSeries;
 use crate::topology::{GridTopologyConfig, SatId, Topology};
@@ -597,40 +598,6 @@ pub struct AttackSearchOutcome {
 /// budget, flat satellite indices for a satellite budget).
 type Units = Vec<usize>;
 
-/// The search state shared by greedy and refinement: unit expansion and
-/// membership bookkeeping.
-struct UnitSpace {
-    /// Satellites of each unit.
-    members: Vec<Vec<SatId>>,
-}
-
-impl UnitSpace {
-    fn build(series: &SnapshotSeries, budget: AttackBudget) -> Self {
-        let snapshot = series.snapshot(0);
-        let members = match budget {
-            AttackBudget::Planes(_) => (0..snapshot.n_planes())
-                .map(|p| {
-                    (0..snapshot.slots_in_plane(p)).map(|s| SatId { plane: p, slot: s }).collect()
-                })
-                .collect(),
-            AttackBudget::Sats(_) => snapshot.ids().map(|id| vec![id]).collect(),
-        };
-        UnitSpace { members }
-    }
-
-    fn n_units(&self) -> usize {
-        self.members.len()
-    }
-
-    /// The destroyed set of a unit selection, sorted plane-major.
-    fn expand(&self, units: &[usize]) -> Vec<SatId> {
-        let mut out: Vec<SatId> =
-            units.iter().flat_map(|&u| self.members[u].iter().copied()).collect();
-        out.sort_unstable();
-        out
-    }
-}
-
 /// Local swap refinement: propose `swaps` member/non-member exchanges
 /// (both drawn through the shared seeded [`Rng::gen_index`]), keeping
 /// each only on strict improvement. Returns the refined units and value.
@@ -639,7 +606,7 @@ impl UnitSpace {
 /// state (and repeats — revisited swaps — free via its seen-cache).
 fn refine(
     scorer: &IncrementalScorer<'_, '_>,
-    space: &UnitSpace,
+    space: &UnitSet,
     start: Units,
     start_value: f64,
     config: &AttackSearchConfig,
@@ -698,7 +665,15 @@ pub fn optimize_attack(
     seed: u64,
     seeds: &[Vec<SatId>],
 ) -> Result<AttackSearchOutcome> {
-    let space = UnitSpace::build(evaluator.series, config.budget);
+    // The units the budget chooses from: whole planes or single
+    // satellites of the evaluated network.
+    let snapshot = evaluator.series.snapshot(0);
+    let plane_sats: Vec<usize> =
+        (0..snapshot.n_planes()).map(|p| snapshot.slots_in_plane(p)).collect();
+    let space = match config.budget {
+        AttackBudget::Planes(_) => UnitSet::planes(&plane_sats),
+        AttackBudget::Sats(_) => UnitSet::sats(&plane_sats),
+    };
     let n_units = space.n_units();
     let k = config.budget.count().min(n_units);
     let intact_value = evaluator.objective_value(config.objective, evaluator.intact());
@@ -771,7 +746,7 @@ pub fn optimize_attack(
     // caller's seeded fixed attacks, and seeded random restarts.
     let mut starts: Vec<Units> = vec![greedy];
     if let AttackBudget::Planes(_) = config.budget {
-        starts.push(crate::disruption::strided_plane_indices(n_units, k));
+        starts.push(strided_plane_indices(n_units, k));
     }
     for fixed in seeds {
         // Map a destroyed set back onto whole units: a unit is selected
@@ -781,23 +756,12 @@ pub fn optimize_attack(
         // no ordering, so sort a local copy.
         let mut fixed = fixed.clone();
         fixed.sort_unstable();
-        let mut units: Units = Vec::new();
-        let mut selected = vec![false; n_units];
-        for (u, sats) in space.members.iter().enumerate() {
-            if sats.iter().any(|id| fixed.binary_search(id).is_ok()) && !selected[u] {
-                selected[u] = true;
-                units.push(u);
-            }
-        }
-        units.truncate(k);
-        let mut fill = 0usize;
-        while units.len() < k && fill < n_units {
-            if !selected[fill] {
-                selected[fill] = true;
-                units.push(fill);
-            }
-            fill += 1;
-        }
+        let selected: Vec<bool> = (0..n_units)
+            .map(|u| space.members(u).iter().any(|id| fixed.binary_search(id).is_ok()))
+            .collect();
+        let mut units: Units = (0..n_units).filter(|&u| selected[u]).take(k).collect();
+        let pad: Units = (0..n_units).filter(|&u| !selected[u]).take(k - units.len()).collect();
+        units.extend(pad);
         starts.push(units);
     }
     for r in 0..config.restarts {
@@ -861,13 +825,17 @@ mod tests {
     use ssplane_astro::sunsync::sun_synchronous_orbit;
     use ssplane_astro::time::Epoch;
 
-    pub(super) fn constellation(planes: usize, slots: usize) -> Constellation {
-        let epoch = Epoch::J2000;
+    fn plane_elements(planes: usize, slots: usize) -> Vec<Vec<OrbitalElements>> {
         let orbit = sun_synchronous_orbit(560.0).unwrap();
-        let element_planes: Vec<Vec<OrbitalElements>> = (0..planes)
-            .map(|p| orbit.with_ltan(7.5 + p as f64 * 1.2).plane_elements(epoch, slots).unwrap())
-            .collect();
-        Constellation::new(epoch, element_planes).unwrap()
+        (0..planes)
+            .map(|p| {
+                orbit.with_ltan(7.5 + p as f64 * 1.2).plane_elements(Epoch::J2000, slots).unwrap()
+            })
+            .collect()
+    }
+
+    pub(super) fn constellation(planes: usize, slots: usize) -> Constellation {
+        Constellation::new(Epoch::J2000, plane_elements(planes, slots)).unwrap()
     }
 
     pub(super) fn city_flows() -> Vec<Flow> {
@@ -1009,49 +977,61 @@ mod tests {
 
     #[test]
     fn search_is_deterministic_and_never_weaker_than_its_seeds() {
-        let c = constellation(6, 10);
+        let elements = plane_elements(6, 10);
+        let c = Constellation::new(Epoch::J2000, elements.clone()).unwrap();
         let flows = city_flows();
         let (series, flows) = evaluator_fixture(&c, &flows, 2);
         let evaluator =
             DegradedEvaluator::new(&series, &flows, 20f64.to_radians(), Default::default())
                 .unwrap();
-        let config = AttackSearchConfig {
-            budget: AttackBudget::Planes(2),
-            restarts: 2,
-            swaps: 6,
-            ..Default::default()
+        let whole_planes = |planes: &[usize]| -> Vec<SatId> {
+            planes.iter().flat_map(|&p| (0..10).map(move |s| SatId { plane: p, slot: s })).collect()
         };
-        // A deliberately arbitrary fixed seed attack: planes 1 and 4.
-        let fixed: Vec<SatId> = [1usize, 4]
-            .iter()
-            .flat_map(|&p| (0..10).map(move |s| SatId { plane: p, slot: s }))
-            .collect();
-        let fixed_value = evaluator.score_attack(&fixed, config.objective).unwrap();
-        let strided: Vec<SatId> = crate::disruption::strided_plane_indices(6, 2)
-            .into_iter()
-            .flat_map(|p| (0..10).map(move |s| SatId { plane: p, slot: s }))
-            .collect();
-        let strided_value = evaluator.score_attack(&strided, config.objective).unwrap();
+        let target = crate::disruption::AttackTarget {
+            planes: elements.iter().map(Vec::as_slice).collect(),
+            plane_groups: (0..6).collect(),
+            epoch: Epoch::J2000,
+        };
+        let random = crate::disruption::FixedAttack::RandomSats { sats_lost: 5 }
+            .destroyed(&target, 11)
+            .unwrap();
+        // A plane budget seeded with a deliberately arbitrary fixed attack
+        // (planes 1 and 4), and a satellite budget seeded with a
+        // `random-sats` destroyed set.
+        for (budget, fixed, victims) in [
+            (AttackBudget::Planes(2), whole_planes(&[1, 4]), 20),
+            (AttackBudget::Sats(5), random, 5),
+        ] {
+            let config = AttackSearchConfig { budget, restarts: 2, swaps: 6, ..Default::default() };
+            let fixed_value = evaluator.score_attack(&fixed, config.objective).unwrap();
 
-        let a = optimize_attack(&evaluator, &config, 7, std::slice::from_ref(&fixed)).unwrap();
-        let b = optimize_attack(&evaluator, &config, 7, std::slice::from_ref(&fixed)).unwrap();
-        assert_eq!(a, b, "same seed, same outcome");
-        assert_eq!(a.destroyed.len(), 20, "two whole planes");
-        assert!(a.objective_value <= fixed_value, "never weaker than a seeded attack");
-        assert!(a.objective_value <= strided_value, "never weaker than the strided baseline");
-        assert!(a.objective_value <= a.intact_value);
-        // Thread counts don't change the outcome.
-        let serial = optimize_attack(
-            &evaluator,
-            &AttackSearchConfig { threads: 1, ..config },
-            7,
-            std::slice::from_ref(&fixed),
-        )
-        .unwrap();
-        assert_eq!(a, serial);
-        // A different seed may walk elsewhere but respects the budget.
-        let other = optimize_attack(&evaluator, &config, 8, &[fixed]).unwrap();
-        assert_eq!(other.destroyed.len(), 20);
+            let a = optimize_attack(&evaluator, &config, 7, std::slice::from_ref(&fixed)).unwrap();
+            let b = optimize_attack(&evaluator, &config, 7, std::slice::from_ref(&fixed)).unwrap();
+            assert_eq!(a, b, "{budget:?}: same seed, same outcome");
+            assert_eq!(a.destroyed.len(), victims, "{budget:?}: the whole budget");
+            assert!(a.objective_value <= fixed_value, "{budget:?}: never weaker than its seed");
+            if let AttackBudget::Planes(k) = budget {
+                let strided = whole_planes(&strided_plane_indices(6, k));
+                let strided_value = evaluator.score_attack(&strided, config.objective).unwrap();
+                assert!(
+                    a.objective_value <= strided_value,
+                    "never weaker than the strided baseline"
+                );
+            }
+            assert!(a.objective_value <= a.intact_value);
+            // Thread counts don't change the outcome.
+            let serial = optimize_attack(
+                &evaluator,
+                &AttackSearchConfig { threads: 1, ..config },
+                7,
+                std::slice::from_ref(&fixed),
+            )
+            .unwrap();
+            assert_eq!(a, serial, "{budget:?}");
+            // A different seed may walk elsewhere but respects the budget.
+            let other = optimize_attack(&evaluator, &config, 8, &[fixed]).unwrap();
+            assert_eq!(other.destroyed.len(), victims, "{budget:?}");
+        }
     }
 
     #[test]

@@ -18,11 +18,10 @@
 //!   giant-component fraction, the susceptibility χ (finite-cluster
 //!   second moment per alive node), and the mean finite-cluster size,
 //!   collected into a [`PercolationCurve`];
-//! * removal orderings mirroring the [`crate::disruption`] attack
-//!   registry: [`plane_spread_ordering`] (targeted whole-plane loss at
-//!   maximal spread — the sweep form of `leading-planes`),
-//!   [`random_ordering`] (seeded uniform loss — `random-sats`),
-//!   [`shell_ordering`] (whole evaluation groups — `shell`),
+//! * removal orderings over the [`crate::disruption`] attack units:
+//!   [`plane_spread_ordering`] (plane units visited in maximal spread —
+//!   the sweep form of `leading-planes`), [`random_ordering`] (seeded
+//!   uniform loss, whose prefixes are the `random-sats` attack),
 //!   [`keyed_ordering`] (ascending scalar key, e.g. declination distance
 //!   from a debris-band center — `declination-band`), and
 //!   [`priority_ordering`] (a searched destroyed set first, then a base
@@ -48,6 +47,7 @@
 //! seeded orderings and start vectors, and no threading — determinism
 //! is structural.
 
+use crate::disruption::UnitSet;
 use crate::topology::Topology;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -256,11 +256,17 @@ pub fn spread_order(n: usize) -> Vec<usize> {
     keyed.into_iter().map(|(_, i)| i).collect()
 }
 
-/// Targeted whole-plane removal ordering: planes visited in
+/// Targeted whole-plane removal ordering: the plane units visited in
 /// [`spread_order`], each plane's slots removed consecutively.
 pub fn plane_spread_ordering(topology: &Topology) -> Vec<usize> {
     let offsets = topology.plane_offsets();
-    spread_order(topology.n_planes()).into_iter().flat_map(|p| offsets[p]..offsets[p + 1]).collect()
+    let plane_sats: Vec<usize> = offsets.windows(2).map(|w| w[1] - w[0]).collect();
+    let planes = UnitSet::planes(&plane_sats);
+    spread_order(planes.n_units())
+        .into_iter()
+        .flat_map(|p| planes.members(p))
+        .map(|id| offsets[id.plane] + id.slot)
+        .collect()
 }
 
 /// Seeded uniform-random removal ordering over `n` nodes: a full
@@ -274,27 +280,6 @@ pub fn random_ordering(n: usize, seed: u64) -> Vec<usize> {
         order.swap(k, j);
     }
     order
-}
-
-/// Whole-shell removal ordering: evaluation groups ascending, each
-/// group's planes (and their slots) removed consecutively — the sweep
-/// form of the `shell` attack.
-///
-/// # Panics
-/// If `plane_groups.len()` is not the plane count.
-pub fn shell_ordering(topology: &Topology, plane_groups: &[usize]) -> Vec<usize> {
-    assert_eq!(plane_groups.len(), topology.n_planes(), "one group tag per plane");
-    let offsets = topology.plane_offsets();
-    let n_groups = plane_groups.iter().max().map_or(0, |&g| g + 1);
-    (0..n_groups)
-        .flat_map(|g| {
-            plane_groups
-                .iter()
-                .enumerate()
-                .filter(move |&(_, &tag)| tag == g)
-                .flat_map(|(p, _)| offsets[p]..offsets[p + 1])
-        })
-        .collect()
 }
 
 /// Removal ordering by ascending scalar key (ties by flat index) — e.g.
@@ -724,13 +709,6 @@ mod tests {
 
         let base: Vec<usize> = (0..6).collect();
         assert_eq!(priority_ordering(&[4, 2, 4, 99], &base), vec![4, 2, 0, 1, 3, 5]);
-    }
-
-    #[test]
-    fn shell_ordering_groups_planes() {
-        // Two planes of 2 slots each, tagged into groups 1 and 0.
-        let topo = Topology::from_links(Vec::new(), vec![0, 2, 4]);
-        assert_eq!(shell_ordering(&topo, &[1, 0]), vec![2, 3, 0, 1]);
     }
 
     #[test]

@@ -41,7 +41,7 @@ use ssplane_core::system::{
 use ssplane_demand::gravity::{gravity_flows, grid_demand_total, GravityConfig};
 use ssplane_demand::grid::LatTodGrid;
 use ssplane_demand::DemandModel;
-use ssplane_lsn::disruption::{strided_plane_indices, AttackModel, AttackTarget, OutageTimeline};
+use ssplane_lsn::disruption::{AttackTarget, FixedAttack, OutageTimeline};
 use ssplane_lsn::optimizer::{optimize_attack, DegradedEvaluator};
 use ssplane_lsn::percolation::{
     algebraic_connectivity, percolation_sweep, plane_spread_ordering, priority_ordering,
@@ -200,9 +200,8 @@ impl StageClock {
 /// The slots destroyed by the scenario's *fixed* attack on one designed
 /// system (empty when the attack stage is inactive, or when the kind is
 /// `optimized` — the searched attack is computed against the network
-/// context, see [`run_attack_search`]). The attack model comes from the
-/// `attack.kind` registry; selection is deterministic in the scenario
-/// seed.
+/// context, see [`run_attack_search`]). The attack is the `attack.kind`
+/// [`FixedAttack`]; selection is deterministic in the scenario seed.
 fn attack_destroyed(spec: &ScenarioSpec, sys: &DesignedSystem, epoch: Epoch) -> Result<Vec<SatId>> {
     if !spec.attack.is_active() || sys.planes.is_empty() {
         return Ok(Vec::new());
@@ -691,30 +690,22 @@ fn run_attack_search(
             ),
         ));
     }
-    let (baseline_name, baseline): (&str, Vec<SatId>) = match spec.attack.unit {
+    // The same-budget fixed attack on the *network* constellation (the
+    // search's own candidate space).
+    let (baseline_name, model) = match spec.attack.unit {
         AttackUnit::Planes => {
-            let victims = strided_plane_indices(n_net_planes, spec.attack.budget)
-                .into_iter()
-                .flat_map(|p| {
-                    (0..ctx.layout.plane_sats[p]).map(move |s| SatId { plane: p, slot: s })
-                })
-                .collect();
-            ("leading-planes", victims)
+            ("leading-planes", FixedAttack::LeadingPlanes { planes_lost: spec.attack.budget })
         }
         AttackUnit::Sats => {
-            // The seeded random baseline over the *network* constellation
-            // (the search's own candidate space).
-            let element_planes: Vec<&[ssplane_astro::kepler::OrbitalElements]> =
-                ctx.layout.kept.iter().map(|&dp| sys.planes[dp].satellites.as_slice()).collect();
-            let target = AttackTarget {
-                plane_groups: (0..element_planes.len()).collect(),
-                planes: element_planes,
-                epoch: ctx.t,
-            };
-            let model = ssplane_lsn::disruption::RandomSats { sats_lost: spec.attack.budget };
-            ("random-sats", model.destroyed(&target, spec.seed)?)
+            ("random-sats", FixedAttack::RandomSats { sats_lost: spec.attack.budget })
         }
     };
+    let target = AttackTarget {
+        planes: ctx.layout.kept.iter().map(|&dp| sys.planes[dp].satellites.as_slice()).collect(),
+        plane_groups: (0..n_net_planes).collect(),
+        epoch: ctx.t,
+    };
+    let baseline = model.destroyed(&target, spec.seed)?;
     let baseline_value = evaluator.score_attack(&baseline, config.objective)?;
     let outcome = optimize_attack(evaluator, &config, spec.seed, &[baseline])?;
     let mut destroyed: Vec<SatId> =
@@ -1358,6 +1349,11 @@ mod tests {
             ("network.percolation_steps", TomlValue::Int(1_000_000_000_000_000)),
             ("network.n_flows", TomlValue::Int(1_000_000_000_000_000)),
             ("traffic.pairs", TomlValue::Int(1_000_000_000_000_000)),
+            // These ran out of memory or ran for minutes instead.
+            ("attack.restarts", TomlValue::Int(1_000_000_000_000_000)),
+            ("attack.swaps", TomlValue::Int(1_000_000_000_000_000)),
+            ("traffic.sites", TomlValue::Int(100_000)),
+            ("traffic.k_paths", TomlValue::Int(1_000_000_000_000_000)),
         ] {
             let axes = vec![SweepAxis { param: param.to_string(), values: vec![value] }];
             let sweep = SweepSpec { base: base.clone(), axes };

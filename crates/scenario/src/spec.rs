@@ -15,10 +15,7 @@ use ssplane_core::designer::DesignConfig;
 use ssplane_core::rgt_analysis::RgtDesignConfig;
 use ssplane_core::system::DESIGNER_REGISTRY;
 use ssplane_core::walker_baseline::WalkerBaselineConfig;
-use ssplane_lsn::disruption::{
-    AttackModel, DeclinationBand, FailureProcess, LeadingPlanes, RadiationExponential, RandomSats,
-    WeibullBathtub, WholeShell,
-};
+use ssplane_lsn::disruption::{FailureProcess, FixedAttack, RadiationExponential, WeibullBathtub};
 use ssplane_lsn::failures::FailureModel;
 use ssplane_lsn::optimizer::{AttackBudget, AttackObjective, AttackSearchConfig};
 use ssplane_lsn::spares::SparePolicy;
@@ -306,8 +303,8 @@ impl SurvivabilitySpec {
     }
 }
 
-/// The attack family the attack stage applies — the spec's name for an
-/// [`AttackModel`] implementation.
+/// The attack family the attack stage applies — the spec's name for a
+/// [`FixedAttack`] variant, or the searched attack.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum AttackKind {
     /// Whole-plane loss at evenly strided plane indices (the historical
@@ -389,10 +386,10 @@ impl Default for TrafficSpec {
     }
 }
 
-/// The attack stage: a pluggable [`AttackModel`] destroys part of the
-/// constellation before the survivability simulation, the capacity it
-/// retains is reported, and — with `network.with_outages` — the degraded
-/// network is evaluated over the masked fleet.
+/// The attack stage: a [`FixedAttack`] or a searched attack destroys
+/// part of the constellation before the survivability simulation, the
+/// capacity it retains is reported, and — with `network.with_outages` —
+/// the degraded network is evaluated over the masked fleet.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AttackSpec {
     /// Which attack model to apply.
@@ -458,23 +455,23 @@ impl AttackSpec {
         self.kind != AttackKind::LeadingPlanes || self.planes_lost > 0
     }
 
-    /// The configured *fixed* [`AttackModel`], from the registry the
-    /// `attack.kind` key names — `None` for [`AttackKind::Optimized`],
-    /// whose destroyed set is a search outcome (driven by the network
-    /// stage in the runner), not a pure function of the geometry.
-    pub fn fixed_model(&self) -> Option<Box<dyn AttackModel>> {
-        match self.kind {
+    /// The configured *fixed* attack the `attack.kind` key names — `None`
+    /// for [`AttackKind::Optimized`], whose destroyed set is a search
+    /// outcome (driven by the network stage in the runner), not a pure
+    /// function of the geometry.
+    pub fn fixed_model(&self) -> Option<FixedAttack> {
+        Some(match self.kind {
             AttackKind::LeadingPlanes => {
-                Some(Box::new(LeadingPlanes { planes_lost: self.planes_lost }))
+                FixedAttack::LeadingPlanes { planes_lost: self.planes_lost }
             }
-            AttackKind::RandomSats => Some(Box::new(RandomSats { sats_lost: self.sats_lost })),
-            AttackKind::DeclinationBand => Some(Box::new(DeclinationBand {
+            AttackKind::RandomSats => FixedAttack::RandomSats { sats_lost: self.sats_lost },
+            AttackKind::DeclinationBand => FixedAttack::DeclinationBand {
                 min_deg: self.band_min_deg,
                 max_deg: self.band_max_deg,
-            })),
-            AttackKind::Shell => Some(Box::new(WholeShell { shell: self.shell })),
-            AttackKind::Optimized => None,
-        }
+            },
+            AttackKind::Shell => FixedAttack::Shell { shell: self.shell },
+            AttackKind::Optimized => return None,
+        })
     }
 
     /// The optimizer configuration of an [`AttackKind::Optimized`] spec;
@@ -585,6 +582,22 @@ const MAX_PAIRS: usize = 1_000_000;
 /// Most `network.percolation_steps`: each step is one sample of every
 /// percolation curve.
 const MAX_PERCOLATION_STEPS: usize = 10_000;
+/// Most `attack.restarts`: every restart is one more start point that
+/// holds a budget-sized unit selection and is refined by `attack.swaps`
+/// scored candidates, so the search costs about
+/// `(restarts + 2) × (swaps + 1)` candidate scorings.
+const MAX_RESTARTS: usize = 64;
+/// Most `attack.swaps` per start point. With [`MAX_RESTARTS`] a search
+/// scores at most ~68,000 candidates: seconds on a 1,000-satellite
+/// network at the incremental scorer's ~10⁴ candidates/s
+/// (`BENCH_attack_opt.json`).
+const MAX_SWAPS: usize = 1024;
+/// Most gravity `traffic.sites`: the model keeps a dense site × site
+/// great-circle distance matrix (2048² doubles = 32 MiB).
+const MAX_SITES: usize = 2048;
+/// Most `traffic.k_paths`: every serving-satellite pair runs this many
+/// penalized shortest-path rounds, each a full Dijkstra from its source.
+const MAX_K_PATHS: usize = 64;
 
 /// One fully-specified experiment.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -604,7 +617,7 @@ pub struct ScenarioSpec {
     pub radiation: RadiationSpec,
     /// Survivability stage.
     pub survivability: SurvivabilitySpec,
-    /// Plane-loss attack.
+    /// Attack stage.
     pub attack: AttackSpec,
     /// Networking stage.
     pub network: NetworkSpec,
@@ -678,6 +691,14 @@ impl ScenarioSpec {
         let capacity = traffic.capacity_gbps;
         check(positive(capacity), "traffic.capacity_gbps", capacity, "> 0")?;
         check(traffic.k_paths > 0, "traffic.k_paths", 0, ">= 1")?;
+        for (key, size, max) in [
+            ("attack.restarts", attack.restarts, MAX_RESTARTS),
+            ("attack.swaps", attack.swaps, MAX_SWAPS),
+            ("traffic.sites", traffic.sites, MAX_SITES),
+            ("traffic.k_paths", traffic.k_paths, MAX_K_PATHS),
+        ] {
+            check(size <= max, key, size, &format!("<= {max}"))?;
+        }
         let gravity = traffic.model == TrafficModel::Gravity;
         if gravity {
             let pairs = traffic.pairs;
@@ -901,10 +922,7 @@ mod tests {
             AttackKind::Shell,
         ] {
             assert_eq!(round_trip(ATTACK_KINDS, kind).unwrap(), kind);
-            // The registry name of the configured model matches the token.
-            let spec = AttackSpec { kind, ..Default::default() };
-            let name = token_str(ATTACK_KINDS, kind);
-            assert_eq!(spec.fixed_model().expect("fixed kind").name(), name);
+            assert!(AttackSpec { kind, ..Default::default() }.fixed_model().is_some());
         }
         // The optimized kind parses but has no fixed model: its destroyed
         // set is a search outcome, not a geometry function.
