@@ -118,16 +118,58 @@ impl SsConstellation {
     }
 }
 
-/// Residual demand removed by subtracting `capacity` from `cells` of
-/// `grid` (without mutating it).
-fn removable(grid: &LatTodGrid, cells: &[(usize, usize)], capacity: f64) -> f64 {
-    cells.iter().map(|&(i, j)| grid.value(i, j).min(capacity)).sum()
+/// The cells each candidate plane covers, memoized for one design.
+///
+/// A candidate is fixed by the peak cell `(i, j)` and its branch, and
+/// [`SsPlane::covered_cells`] reads only the grid's shape, never its
+/// values — so a key's cells never change while the residual does. Cells
+/// are row-major flat indices `i * tod_bins + j`, ascending.
+struct CoverageMemo {
+    tod_bins: usize,
+    swath: f64,
+    cells: Vec<Option<Box<[u32]>>>,
 }
 
-/// Subtracts `capacity` from every listed cell, clamping at zero.
-fn subtract(grid: &mut LatTodGrid, cells: &[(usize, usize)], capacity: f64) {
-    for &(i, j) in cells {
-        let v = grid.value_mut(i, j);
+impl CoverageMemo {
+    fn new(grid: &LatTodGrid, swath: f64) -> Self {
+        let n_keys = grid.lat_bins() * grid.tod_bins() * 2;
+        CoverageMemo { tod_bins: grid.tod_bins(), swath, cells: vec![None; n_keys] }
+    }
+
+    /// The cells covered by `plane`, the `branch` candidate through the
+    /// peak cell `peak` of `grid`.
+    fn covered(
+        &mut self,
+        grid: &LatTodGrid,
+        peak: (usize, usize),
+        branch: usize,
+        plane: &SsPlane,
+    ) -> &[u32] {
+        let key = (peak.0 * self.tod_bins + peak.1) * 2 + branch;
+        let (tod_bins, swath) = (self.tod_bins, self.swath);
+        self.cells[key].get_or_insert_with(|| {
+            plane.covered_cells(grid, swath).into_iter().map(|cell| flat(tod_bins, cell)).collect()
+        })
+    }
+}
+
+/// The row-major flat index of cell `(i, j)`.
+fn flat(tod_bins: usize, (i, j): (usize, usize)) -> u32 {
+    u32::try_from(i * tod_bins + j).expect("a grid of f64 cells fits u32 indices")
+}
+
+/// Residual demand removed by subtracting `capacity` from the flat
+/// `cells` of `grid` (without mutating it).
+fn removable(grid: &LatTodGrid, cells: &[u32], capacity: f64) -> f64 {
+    let t = grid.tod_bins();
+    cells.iter().map(|&k| grid.value(k as usize / t, k as usize % t).min(capacity)).sum()
+}
+
+/// Subtracts `capacity` from every listed flat cell, clamping at zero.
+fn subtract(grid: &mut LatTodGrid, cells: &[u32], capacity: f64) {
+    let t = grid.tod_bins();
+    for &k in cells {
+        let v = grid.value_mut(k as usize / t, k as usize % t);
         *v = (*v - capacity).max(0.0);
     }
 }
@@ -158,6 +200,7 @@ pub fn design_ss_constellation(
     let mut planes: Vec<SsPlane> = Vec::new();
     let mut flip = false;
     let mut unserved = 0.0f64;
+    let mut memo = CoverageMemo::new(demand, swath);
 
     while let Some((i, j)) = residual.argmax() {
         if residual.value(i, j) <= config.epsilon {
@@ -178,29 +221,28 @@ pub fn design_ss_constellation(
         let target_lat = lat.clamp(-max_lat, max_lat);
         let candidates = planes_through(orbit, target_lat, tod, sats_per_plane)
             .expect("target latitude clamped into reachable band");
+        let peak = flat(demand.tod_bins(), (i, j));
 
-        let chosen = match config.branch_rule {
-            BranchRule::AscendingOnly => candidates[0],
+        let branch = match config.branch_rule {
+            BranchRule::AscendingOnly => 0,
             BranchRule::Alternate => {
                 flip = !flip;
-                candidates[if flip { 0 } else { 1 }]
+                usize::from(!flip)
             }
             BranchRule::BestOfBoth => {
-                let gain0 = removable(
-                    &residual,
-                    &candidates[0].covered_cells(&residual, swath),
-                    config.sat_capacity,
-                );
-                let gain1 = removable(
-                    &residual,
-                    &candidates[1].covered_cells(&residual, swath),
-                    config.sat_capacity,
-                );
-                candidates[if gain0 >= gain1 { 0 } else { 1 }]
+                let mut gain = |b: usize| {
+                    let cells = memo.covered(&residual, (i, j), b, &candidates[b]);
+                    removable(&residual, cells, config.sat_capacity)
+                };
+                if gain(0) >= gain(1) {
+                    0
+                } else {
+                    1
+                }
             }
         };
-        let cells = chosen.covered_cells(&residual, swath);
-        if !cells.contains(&(i, j)) {
+        let cells = memo.covered(&residual, (i, j), branch, &candidates[branch]);
+        if cells.binary_search(&peak).is_err() {
             // The peak cell sits poleward of the constellation's reach
             // (|lat| > max latitude + swath margin): no SS-plane at this
             // altitude can serve it. Mark it unserved and move on rather
@@ -210,8 +252,8 @@ pub fn design_ss_constellation(
             *residual.value_mut(i, j) = 0.0;
             continue;
         }
-        subtract(&mut residual, &cells, config.sat_capacity);
-        planes.push(chosen);
+        subtract(&mut residual, cells, config.sat_capacity);
+        planes.push(candidates[branch]);
     }
 
     Ok(SsConstellation {
@@ -226,6 +268,7 @@ pub fn design_ss_constellation(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn point_demand(lat_idx: usize, tod_idx: usize, value: f64) -> LatTodGrid {
         let mut v = vec![0.0; 36 * 24];
@@ -256,10 +299,23 @@ mod tests {
         assert!((40..=60).contains(&c.sats_per_plane), "S = {}", c.sats_per_plane);
     }
 
+    /// Re-runs the subtraction with the returned planes, recomputing each
+    /// plane's coverage from scratch (no memo).
+    fn replayed_residual(demand: &LatTodGrid, c: &SsConstellation) -> LatTodGrid {
+        let mut residual = demand.clone();
+        for p in &c.planes {
+            let cells: Vec<u32> = p
+                .covered_cells(demand, c.swath_half_angle)
+                .into_iter()
+                .map(|cell| flat(demand.tod_bins(), cell))
+                .collect();
+            subtract(&mut residual, &cells, c.config.sat_capacity);
+        }
+        residual
+    }
+
     #[test]
     fn demand_is_satisfied_by_construction() {
-        // Re-run the subtraction with the returned planes and verify the
-        // demand empties.
         let mut v = vec![0.0; 36 * 24];
         for (k, slot) in v.iter_mut().enumerate() {
             *slot = ((k % 7) as f64) * 0.5;
@@ -272,12 +328,45 @@ mod tests {
         }
         let g = LatTodGrid::from_values(36, 24, v).unwrap();
         let c = design_ss_constellation(&g, fast_config()).unwrap();
-        let mut residual = g.clone();
-        for p in &c.planes {
-            let cells = p.covered_cells(&residual, c.swath_half_angle);
-            subtract(&mut residual, &cells, c.config.sat_capacity);
+        assert!(replayed_residual(&g, &c).is_satisfied(1e-9));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// For random grid shapes, demand patterns and every branch rule,
+        /// the planes the memoized greedy returns empty the demand when
+        /// their coverage is recomputed from scratch.
+        #[test]
+        fn random_demand_is_satisfied_by_construction(
+            lat_bins in 4usize..40,
+            tod_bins in 3usize..30,
+            salt in 0u64..u64::MAX,
+            rule in 0usize..3,
+        ) {
+            let branch_rule =
+                [BranchRule::BestOfBoth, BranchRule::AscendingOnly, BranchRule::Alternate][rule];
+            let mut v = vec![0.0; lat_bins * tod_bins];
+            let mut state = salt;
+            for (k, slot) in v.iter_mut().enumerate() {
+                // splitmix64: quarter-capacity steps in [0, 2.5].
+                state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                let mut z = state;
+                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+                let lat = -90.0 + 180.0 * ((k / tod_bins) as f64 + 0.5) / lat_bins as f64;
+                // Only the band every SS-plane reaches carries demand.
+                if lat.abs() <= 70.0 {
+                    *slot = ((z ^ (z >> 31)) % 11) as f64 * 0.25;
+                }
+            }
+            let g = LatTodGrid::from_values(lat_bins, tod_bins, v).unwrap();
+            let c = design_ss_constellation(&g, DesignConfig { branch_rule, ..fast_config() })
+                .unwrap();
+            prop_assert_eq!(c.unserved_demand, 0.0);
+            let left = replayed_residual(&g, &c);
+            prop_assert!(left.is_satisfied(c.config.epsilon), "left {}", left.total());
         }
-        assert!(residual.is_satisfied(1e-9), "left {}", residual.total());
     }
 
     #[test]

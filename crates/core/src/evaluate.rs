@@ -12,7 +12,7 @@ use ssplane_astro::kepler::OrbitalElements;
 use ssplane_astro::propagate::J2Propagator;
 use ssplane_astro::time::Epoch;
 use ssplane_demand::grid::LatTodGrid;
-use ssplane_radiation::fluence::{daily_fluence, DailyFluence};
+use ssplane_radiation::fluence::{DailyFluence, FluenceCache};
 use ssplane_radiation::RadiationEnvironment;
 
 /// One row of the Fig. 9 comparison.
@@ -257,6 +257,23 @@ pub fn plane_fluence_samples(
     phases: usize,
     step_s: f64,
 ) -> Result<Vec<(DailyFluence, usize)>> {
+    plane_fluence_samples_cached(groups, &FluenceCache::new(*env), epoch, phases, step_s)
+}
+
+/// [`plane_fluence_samples`] in `cache`'s environment, integrating each
+/// distinct sample once per cache: groups that repeat — within one
+/// constellation or across the designs sharing `cache` — reuse the
+/// cached integral, which is bit-identical to a fresh one.
+///
+/// # Errors
+/// Propagates fluence-integration failure.
+pub fn plane_fluence_samples_cached(
+    groups: &[(OrbitalElements, usize)],
+    cache: &FluenceCache,
+    epoch: Epoch,
+    phases: usize,
+    step_s: f64,
+) -> Result<Vec<(DailyFluence, usize)>> {
     let phases = phases.max(1);
     let mut out = Vec::with_capacity(groups.len() * phases);
     for &(el, weight) in groups {
@@ -265,7 +282,7 @@ pub fn plane_fluence_samples(
             sample.mean_anomaly = ssplane_astro::angles::wrap_two_pi(
                 el.mean_anomaly + core::f64::consts::TAU * k as f64 / phases as f64,
             );
-            let f = daily_fluence(env, &sample, epoch, step_s)?;
+            let f = cache.daily_fluence(&sample, epoch, step_s)?;
             out.push((f, weight.div_ceil(phases).max(1)));
         }
     }
@@ -279,7 +296,7 @@ pub fn weighted_median_fluence(samples: &[(DailyFluence, usize)]) -> DailyFluenc
     }
     let component = |extract: fn(&DailyFluence) -> f64| -> f64 {
         let mut v: Vec<(f64, usize)> = samples.iter().map(|(f, w)| (extract(f), *w)).collect();
-        v.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite fluence"));
+        v.sort_by(|a, b| a.0.total_cmp(&b.0));
         let total: usize = v.iter().map(|x| x.1).sum();
         let mut acc = 0usize;
         for (val, w) in &v {
@@ -389,6 +406,35 @@ mod tests {
         // the workspace integration tests.)
         let last = rows.last().unwrap();
         assert!(last.ss_sats < last.wd_sats, "ss {} vs wd {}", last.ss_sats, last.wd_sats);
+    }
+
+    #[test]
+    fn cached_fluence_samples_integrate_each_distinct_sample_once() {
+        use ssplane_radiation::fluence::daily_fluence;
+        let epoch = Epoch::from_calendar(2021, 3, 20, 12, 0, 0.0);
+        let a = OrbitalElements::circular(560.0, 97.6f64.to_radians(), 0.3, 0.0).unwrap();
+        let b = OrbitalElements::circular(560.0, 53.0f64.to_radians(), 1.1, 0.0).unwrap();
+        // Group `a` repeats: its phase samples are the same keys twice.
+        let groups = [(a, 10), (b, 5), (a, 7)];
+        let env = RadiationEnvironment::default();
+        let cache = FluenceCache::new(env);
+        let samples = plane_fluence_samples_cached(&groups, &cache, epoch, 2, 600.0).unwrap();
+        assert_eq!(cache.len(), 4, "two groups x two phases");
+        assert_eq!(samples, plane_fluence_samples(&groups, &env, epoch, 2, 600.0).unwrap());
+        for (k, (f, weight)) in samples.iter().enumerate() {
+            let (el, w) = groups[k / 2];
+            let mut sample = el;
+            sample.mean_anomaly = ssplane_astro::angles::wrap_two_pi(
+                el.mean_anomaly + core::f64::consts::TAU * (k % 2) as f64 / 2.0,
+            );
+            let fresh = daily_fluence(&env, &sample, epoch, 600.0).unwrap();
+            assert_eq!(f.electron.to_bits(), fresh.electron.to_bits(), "sample {k}");
+            assert_eq!(f.proton.to_bits(), fresh.proton.to_bits(), "sample {k}");
+            assert_eq!(*weight, w.div_ceil(2));
+        }
+        // A second constellation on the same cache adds no keys.
+        plane_fluence_samples_cached(&groups[..1], &cache, epoch, 2, 600.0).unwrap();
+        assert_eq!(cache.len(), 4);
     }
 
     #[test]

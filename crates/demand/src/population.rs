@@ -80,6 +80,168 @@ pub struct PopulationGrid {
     density: Vec<f64>,
 }
 
+/// One synthetic city cluster: a Gaussian kernel on the modulation.
+#[derive(Debug, Clone, Copy)]
+struct City {
+    lat: f64,
+    lon: f64,
+    /// Peak modulation contribution.
+    amplitude: f64,
+    /// Kernel width \[deg\].
+    sigma: f64,
+}
+
+impl City {
+    /// The city's modulation term at the cell centered on `(lat, lon)`
+    /// \[deg\], or `None` outside its 4σ cutoff.
+    fn term(&self, lat: f64, lon: f64) -> Option<f64> {
+        let dl = (lat - self.lat) / self.sigma;
+        // Longitude wrap for kernels near the date line.
+        let mut dlon_c = (lon - self.lon).abs();
+        if dlon_c > 180.0 {
+            dlon_c = 360.0 - dlon_c;
+        }
+        let dn = dlon_c / self.sigma;
+        let d2 = dl * dl + dn * dn;
+        (d2 < 16.0).then(|| self.amplitude * (-d2 / 2.0).exp())
+    }
+}
+
+/// The modulation every cell starts from: a land or ocean floor.
+fn land_base(lat: f64, lon: f64) -> f64 {
+    let on_land =
+        LAND_BOXES.iter().any(|&(a, b, c, d, _)| lat >= a && lat <= b && lon >= c && lon <= d);
+    if on_land {
+        0.02
+    } else {
+        0.0005
+    }
+}
+
+/// Samples the anchor megacities and then the `n_cities` Zipf-sized
+/// clusters, in the order their kernels are summed.
+fn sample_cities(config: &PopulationConfig) -> Vec<City> {
+    let mut rng = StdRng::seed_from_u64(config.seed);
+    let total_weight: f64 = LAND_BOXES.iter().map(|b| b.4).sum();
+    let mut cities = Vec::with_capacity(config.n_cities + 4 * LAND_BOXES.len());
+    // Anchor megacities: a few per land box, guaranteeing that each
+    // region's core latitudes saturate the envelope (the SEDAC max-per-
+    // latitude curve is achieved by a single dense city in each band).
+    for &(lat_min, lat_max, lon_min, lon_max, _) in LAND_BOXES {
+        for a in 0..4 {
+            let frac = (a as f64 + 0.5) / 4.0;
+            let lat = lat_min + (lat_max - lat_min) * frac;
+            let lon = lon_min + (lon_max - lon_min) * rng.gen::<f64>();
+            cities.push(City { lat, lon, amplitude: 2.0, sigma: 1.0 + rng.gen::<f64>() });
+        }
+    }
+    for rank in 0..config.n_cities {
+        // Pick a land box by weight.
+        let mut pick = rng.gen::<f64>() * total_weight;
+        let mut chosen = LAND_BOXES[0];
+        for b in LAND_BOXES {
+            pick -= b.4;
+            if pick <= 0.0 {
+                chosen = *b;
+                break;
+            }
+        }
+        let (lat_min, lat_max, lon_min, lon_max, _) = chosen;
+        // Rejection-sample latitude proportionally to the envelope so
+        // big cities sit where Fig. 3 has mass.
+        let env_max = (0..64)
+            .map(|k| latitude_envelope(lat_min + (lat_max - lat_min) * (k as f64 + 0.5) / 64.0))
+            .fold(1e-9, f64::max);
+        let lat = loop {
+            let cand = lat_min + (lat_max - lat_min) * rng.gen::<f64>();
+            if rng.gen::<f64>() * env_max <= latitude_envelope(cand) {
+                break cand;
+            }
+        };
+        let lon = lon_min + (lon_max - lon_min) * rng.gen::<f64>();
+        // Zipf-like sizes: the first few hundred cities can saturate
+        // the envelope; the tail adds texture.
+        let amplitude = (1.0 / (1.0 + rank as f64).powf(0.55)).min(1.0) * 3.0;
+        let sigma = 0.5 + 1.5 * rng.gen::<f64>();
+        cities.push(City { lat, lon, amplitude, sigma });
+    }
+    cities
+}
+
+/// Cell centers \[deg\] of the population grid.
+struct CellGeometry {
+    dlat: f64,
+    dlon: f64,
+}
+
+impl CellGeometry {
+    fn new(config: &PopulationConfig) -> Self {
+        CellGeometry { dlat: 180.0 / config.lat_bins as f64, dlon: 360.0 / config.lon_bins as f64 }
+    }
+
+    fn lat(&self, i: usize) -> f64 {
+        -90.0 + self.dlat * (i as f64 + 0.5)
+    }
+
+    fn lon(&self, j: usize) -> f64 {
+        -180.0 + self.dlon * (j as f64 + 0.5)
+    }
+
+    /// The unclamped index range of cells (centers `start + step·(k + ½)`)
+    /// whose centers may lie within `reach` of `center`, padded by one
+    /// cell on each side so rounding can never drop a cell.
+    fn span(center: f64, reach: f64, start: f64, step: f64) -> (isize, isize) {
+        let lo = ((center - reach - start) / step - 0.5).floor() as isize - 1;
+        let hi = ((center + reach - start) / step - 0.5).ceil() as isize + 1;
+        (lo, hi)
+    }
+}
+
+/// Fills the density grid by splatting each city over the cells of its
+/// 4σ box only. Every cell receives the same terms, in the same (city)
+/// order, as a dense evaluation of every city at every cell, so the grid
+/// is bit-identical to it. The modulation accumulates in place in the
+/// output buffer.
+fn splat(config: &PopulationConfig, cities: &[City]) -> Vec<f64> {
+    let (lat_bins, lon_bins) = (config.lat_bins, config.lon_bins);
+    let geo = CellGeometry::new(config);
+    let envelope: Vec<f64> = (0..lat_bins).map(|i| latitude_envelope(geo.lat(i))).collect();
+    let populated = |i: usize| envelope[i] >= 1e-6;
+
+    let mut density = vec![0.0; lat_bins * lon_bins];
+    for i in (0..lat_bins).filter(|&i| populated(i)) {
+        let lat = geo.lat(i);
+        for (j, cell) in density[i * lon_bins..(i + 1) * lon_bins].iter_mut().enumerate() {
+            *cell = land_base(lat, geo.lon(j));
+        }
+    }
+    let (n_lat, n_lon) = (lat_bins as isize, lon_bins as isize);
+    for city in cities {
+        let reach = 4.0 * city.sigma;
+        let (i_lo, i_hi) = CellGeometry::span(city.lat, reach, -90.0, geo.dlat);
+        let (j_lo, j_hi) = CellGeometry::span(city.lon, reach, -180.0, geo.dlon);
+        // A box as wide as the grid visits every column once.
+        let (j_lo, j_hi) = if j_hi - j_lo + 1 >= n_lon { (0, n_lon - 1) } else { (j_lo, j_hi) };
+        let rows = i_lo.clamp(0, n_lat)..(i_hi + 1).clamp(0, n_lat);
+        for i in rows.map(|i| i as usize).filter(|&i| populated(i)) {
+            let lat = geo.lat(i);
+            for k in j_lo..=j_hi {
+                let j = k.rem_euclid(n_lon) as usize;
+                if let Some(term) = city.term(lat, geo.lon(j)) {
+                    density[i * lon_bins + j] += term;
+                }
+            }
+        }
+    }
+    // Rows below the envelope floor were never written and stay 0.
+    for (i, row) in density.chunks_mut(lon_bins).enumerate().filter(|&(i, _)| populated(i)) {
+        for cell in row {
+            *cell = envelope[i] * cell.min(1.0);
+        }
+    }
+    density
+}
+
 impl PopulationGrid {
     /// Generates the synthetic population grid.
     ///
@@ -92,94 +254,7 @@ impl PopulationGrid {
         if config.lon_bins == 0 {
             return Err(DemandError::EmptyGrid { dimension: "lon_bins" });
         }
-        let mut rng = StdRng::seed_from_u64(config.seed);
-
-        // --- Sample city clusters ---------------------------------------
-        struct City {
-            lat: f64,
-            lon: f64,
-            /// Peak modulation contribution in [0, 1].
-            amplitude: f64,
-            /// Kernel width [deg].
-            sigma: f64,
-        }
-        let total_weight: f64 = LAND_BOXES.iter().map(|b| b.4).sum();
-        let mut cities = Vec::with_capacity(config.n_cities + 4 * LAND_BOXES.len());
-        // Anchor megacities: a few per land box, guaranteeing that each
-        // region's core latitudes saturate the envelope (the SEDAC max-per-
-        // latitude curve is achieved by a single dense city in each band).
-        for &(lat_min, lat_max, lon_min, lon_max, _) in LAND_BOXES {
-            for a in 0..4 {
-                let frac = (a as f64 + 0.5) / 4.0;
-                let lat = lat_min + (lat_max - lat_min) * frac;
-                let lon = lon_min + (lon_max - lon_min) * rng.gen::<f64>();
-                cities.push(City { lat, lon, amplitude: 2.0, sigma: 1.0 + rng.gen::<f64>() });
-            }
-        }
-        for rank in 0..config.n_cities {
-            // Pick a land box by weight.
-            let mut pick = rng.gen::<f64>() * total_weight;
-            let mut chosen = LAND_BOXES[0];
-            for b in LAND_BOXES {
-                pick -= b.4;
-                if pick <= 0.0 {
-                    chosen = *b;
-                    break;
-                }
-            }
-            let (lat_min, lat_max, lon_min, lon_max, _) = chosen;
-            // Rejection-sample latitude proportionally to the envelope so
-            // big cities sit where Fig. 3 has mass.
-            let env_max = (0..64)
-                .map(|k| latitude_envelope(lat_min + (lat_max - lat_min) * (k as f64 + 0.5) / 64.0))
-                .fold(1e-9, f64::max);
-            let lat = loop {
-                let cand = lat_min + (lat_max - lat_min) * rng.gen::<f64>();
-                if rng.gen::<f64>() * env_max <= latitude_envelope(cand) {
-                    break cand;
-                }
-            };
-            let lon = lon_min + (lon_max - lon_min) * rng.gen::<f64>();
-            // Zipf-like sizes: the first few hundred cities can saturate
-            // the envelope; the tail adds texture.
-            let amplitude = (1.0 / (1.0 + rank as f64).powf(0.55)).min(1.0) * 3.0;
-            let sigma = 0.5 + 1.5 * rng.gen::<f64>();
-            cities.push(City { lat, lon, amplitude, sigma });
-        }
-
-        // --- Fill the grid ----------------------------------------------
-        let mut density = vec![0.0; config.lat_bins * config.lon_bins];
-        let dlat = 180.0 / config.lat_bins as f64;
-        let dlon = 360.0 / config.lon_bins as f64;
-        for i in 0..config.lat_bins {
-            let lat = -90.0 + dlat * (i as f64 + 0.5);
-            let envelope = latitude_envelope(lat);
-            if envelope < 1e-6 {
-                continue;
-            }
-            for j in 0..config.lon_bins {
-                let lon = -180.0 + dlon * (j as f64 + 0.5);
-                let on_land = LAND_BOXES
-                    .iter()
-                    .any(|&(a, b, c, d, _)| lat >= a && lat <= b && lon >= c && lon <= d);
-                let base = if on_land { 0.02 } else { 0.0005 };
-                let mut modulation = base;
-                for city in &cities {
-                    let dl = (lat - city.lat) / city.sigma;
-                    // Longitude wrap for kernels near the date line.
-                    let mut dlon_c = (lon - city.lon).abs();
-                    if dlon_c > 180.0 {
-                        dlon_c = 360.0 - dlon_c;
-                    }
-                    let dn = dlon_c / city.sigma;
-                    let d2 = dl * dl + dn * dn;
-                    if d2 < 16.0 {
-                        modulation += city.amplitude * (-d2 / 2.0).exp();
-                    }
-                }
-                density[i * config.lon_bins + j] = envelope * modulation.min(1.0);
-            }
-        }
+        let density = splat(&config, &sample_cities(&config));
         Ok(PopulationGrid { lat_bins: config.lat_bins, lon_bins: config.lon_bins, density })
     }
 
@@ -264,6 +339,72 @@ mod tests {
             seed: 42,
         })
         .unwrap()
+    }
+
+    /// The dense reference the splat replaced: every city evaluated at
+    /// every cell of every populated row.
+    fn dense_oracle(config: &PopulationConfig, cities: &[City]) -> Vec<f64> {
+        let geo = CellGeometry::new(config);
+        let mut density = vec![0.0; config.lat_bins * config.lon_bins];
+        for i in 0..config.lat_bins {
+            let lat = geo.lat(i);
+            let envelope = latitude_envelope(lat);
+            if envelope < 1e-6 {
+                continue;
+            }
+            for j in 0..config.lon_bins {
+                let lon = geo.lon(j);
+                let mut modulation = land_base(lat, lon);
+                for city in cities {
+                    if let Some(term) = city.term(lat, lon) {
+                        modulation += term;
+                    }
+                }
+                density[i * config.lon_bins + j] = envelope * modulation.min(1.0);
+            }
+        }
+        density
+    }
+
+    fn assert_bitwise_eq(a: &[f64], b: &[f64], what: &str) {
+        assert_eq!(a.len(), b.len(), "{what}");
+        for (k, (x, y)) in a.iter().zip(b).enumerate() {
+            assert_eq!(x.to_bits(), y.to_bits(), "{what}: cell {k}: {x} vs {y}");
+        }
+    }
+
+    #[test]
+    fn splat_is_bitwise_the_dense_evaluation() {
+        for (lat_bins, lon_bins) in [(37, 71), (90, 180), (360, 720)] {
+            for (seed, n_cities) in [(42, 300), (7, 0), (0xDEAD_BEEF, 120)] {
+                let config = PopulationConfig { lat_bins, lon_bins, n_cities, seed };
+                let grid = PopulationGrid::synthetic(config).unwrap();
+                let oracle = dense_oracle(&config, &sample_cities(&config));
+                assert_bitwise_eq(&grid.density, &oracle, &format!("{config:?}"));
+            }
+        }
+    }
+
+    #[test]
+    fn splat_wraps_city_boxes_across_the_date_line() {
+        // Boxes straddling ±180°, one reaching a pole, and one wider than
+        // a coarse grid's whole row.
+        let cities = [
+            City { lat: 20.0, lon: 179.3, amplitude: 0.6, sigma: 2.0 },
+            City { lat: -5.0, lon: -179.9, amplitude: 0.4, sigma: 1.5 },
+            City { lat: 58.0, lon: 178.0, amplitude: 3.0, sigma: 2.0 },
+            City { lat: 88.0, lon: 0.0, amplitude: 1.0, sigma: 2.0 },
+        ];
+        for (lat_bins, lon_bins) in [(37, 71), (90, 180), (360, 720), (5, 3)] {
+            let config = PopulationConfig { lat_bins, lon_bins, n_cities: 0, seed: 1 };
+            let density = splat(&config, &cities);
+            assert_bitwise_eq(&density, &dense_oracle(&config, &cities), &format!("{config:?}"));
+        }
+        // The wrap is real: the east-edge city lifts cells on the west edge.
+        let config = PopulationConfig { lat_bins: 360, lon_bins: 720, n_cities: 0, seed: 1 };
+        let density = splat(&config, &cities[..1]);
+        let row = ((20.0 + 90.0) / 0.5) as usize;
+        assert!(density[row * 720] > density[row * 720 + 100], "west edge gets the kernel");
     }
 
     #[test]

@@ -7,6 +7,8 @@ use crate::flux::RadiationEnvironment;
 use ssplane_astro::kepler::OrbitalElements;
 use ssplane_astro::propagate::J2Propagator;
 use ssplane_astro::time::Epoch;
+use std::collections::BTreeMap;
+use std::sync::{Arc, Mutex};
 
 /// Fluence accumulated over one day \[#/cm²/MeV\] for both species.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -58,6 +60,94 @@ pub fn daily_fluence(
     Ok(total)
 }
 
+/// The exact bits of one [`daily_fluence`] call's inputs: the six
+/// elements, the epoch and the step.
+type FluenceKey = [u64; 8];
+
+/// A memo of [`daily_fluence`] for one [`RadiationEnvironment`].
+///
+/// `daily_fluence` is a pure function of the elements, the epoch and the
+/// step for a fixed environment, so a result keyed on the exact bits of
+/// those inputs is the value a fresh integration would return: the cache
+/// changes cost, never value. Each key has its own cell: a caller that
+/// wants a key another thread is integrating waits for that result, and
+/// the map lock is never held during an integration. Errors are returned
+/// and not cached.
+///
+/// The cache grows with every distinct key, so scope it to one unit of
+/// work (one sweep, one figure) rather than a process.
+#[derive(Debug)]
+pub struct FluenceCache {
+    env: RadiationEnvironment,
+    entries: Mutex<BTreeMap<FluenceKey, Arc<Mutex<Option<DailyFluence>>>>>,
+}
+
+impl FluenceCache {
+    /// An empty cache for `env`.
+    pub fn new(env: RadiationEnvironment) -> Self {
+        FluenceCache { env, entries: Mutex::new(BTreeMap::new()) }
+    }
+
+    /// The environment every cached value was integrated in.
+    pub fn environment(&self) -> &RadiationEnvironment {
+        &self.env
+    }
+
+    /// Distinct keys held: every key integrated (or being integrated),
+    /// never one whose integration failed.
+    pub fn len(&self) -> usize {
+        self.entries.lock().expect("fluence cache poisoned").len()
+    }
+
+    /// Whether the cache holds no key.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// [`daily_fluence`] in the cache's environment, integrated once per
+    /// distinct key.
+    ///
+    /// # Errors
+    /// As [`daily_fluence`]; an error is not cached, so the next call for
+    /// the key integrates again.
+    pub fn daily_fluence(
+        &self,
+        elements: &OrbitalElements,
+        epoch: Epoch,
+        step_s: f64,
+    ) -> Result<DailyFluence> {
+        let key = [
+            elements.semi_major_axis_km.to_bits(),
+            elements.eccentricity.to_bits(),
+            elements.inclination.to_bits(),
+            elements.raan.to_bits(),
+            elements.arg_perigee.to_bits(),
+            elements.mean_anomaly.to_bits(),
+            epoch.seconds_j2000().to_bits(),
+            step_s.to_bits(),
+        ];
+        let cell = Arc::clone(
+            self.entries.lock().expect("fluence cache poisoned").entry(key).or_default(),
+        );
+        let mut value = cell.lock().expect("fluence cache cell poisoned");
+        if let Some(f) = *value {
+            return Ok(f);
+        }
+        match daily_fluence(&self.env, elements, epoch, step_s) {
+            Ok(f) => {
+                *value = Some(f);
+                Ok(f)
+            }
+            Err(e) => {
+                // Map holders never wait on a cell, so taking the map
+                // lock while holding this cell cannot deadlock.
+                self.entries.lock().expect("fluence cache poisoned").remove(&key);
+                Err(e)
+            }
+        }
+    }
+}
+
 /// The paper's Fig. 7 sweep: daily fluence of circular orbits at
 /// `altitude_km` for each inclination \[deg\], starting at `epoch`.
 ///
@@ -100,7 +190,7 @@ pub fn median_fluence(fluences: &[DailyFluence]) -> DailyFluence {
     }
     let median_of = |extract: fn(&DailyFluence) -> f64| -> f64 {
         let mut v: Vec<f64> = fluences.iter().map(extract).collect();
-        v.sort_by(|a, b| a.partial_cmp(b).expect("finite fluence"));
+        v.sort_by(f64::total_cmp);
         let n = v.len();
         if n % 2 == 1 {
             v[n / 2]
@@ -123,6 +213,7 @@ pub fn mean_fluence(fluences: &[DailyFluence]) -> DailyFluence {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ssplane_astro::par::par_map;
 
     fn env() -> RadiationEnvironment {
         RadiationEnvironment::default()
@@ -184,6 +275,55 @@ mod tests {
         let b = daily_fluence(&e, &el, epoch(), 60.0).unwrap();
         assert!((a.electron - b.electron).abs() / b.electron < 0.05);
         assert!((a.proton - b.proton).abs() / b.proton.max(1.0) < 0.15);
+    }
+
+    #[test]
+    fn cache_returns_the_integrals_bit_for_bit() {
+        let cache = FluenceCache::new(env());
+        let mut off_phase = circ(560.0, 97.64);
+        off_phase.mean_anomaly = 1.25;
+        for (el, step) in
+            [(circ(560.0, 65.0), 300.0), (off_phase, 120.0), (circ(1200.0, 53.0), 600.0)]
+        {
+            let fresh = daily_fluence(&env(), &el, epoch(), step).unwrap();
+            for _ in 0..2 {
+                let cached = cache.daily_fluence(&el, epoch(), step).unwrap();
+                assert_eq!(cached.electron.to_bits(), fresh.electron.to_bits());
+                assert_eq!(cached.proton.to_bits(), fresh.proton.to_bits());
+            }
+        }
+        assert_eq!(cache.environment().solar.activity(epoch()), env().solar.activity(epoch()));
+    }
+
+    #[test]
+    fn cache_holds_one_entry_per_distinct_key() {
+        let cache = FluenceCache::new(env());
+        assert!(cache.is_empty());
+        let (a, b) = (circ(560.0, 65.0), circ(560.0, 97.64));
+        let calls = [(a, 600.0), (b, 600.0), (a, 600.0), (a, 300.0), (b, 600.0), (a, 600.0)];
+        let values: Vec<DailyFluence> =
+            par_map(&calls, 3, |(el, step)| cache.daily_fluence(el, epoch(), *step).unwrap());
+        assert_eq!(cache.len(), 3, "keys: (a, 600), (b, 600), (a, 300)");
+        assert_eq!(values[0], values[2]);
+        assert_eq!(values[0], values[5]);
+        assert_eq!(values[1], values[4]);
+        // Any bit of the key is a different key, e.g. the epoch.
+        cache.daily_fluence(&a, epoch() + 1.0, 600.0).unwrap();
+        assert_eq!(cache.len(), 4);
+    }
+
+    #[test]
+    fn cache_returns_errors_without_caching_them() {
+        let cache = FluenceCache::new(env());
+        cache.daily_fluence(&circ(560.0, 65.0), epoch(), 600.0).unwrap();
+        // Perigee inside the Earth: the propagation or flux lookup fails.
+        let mut sub = circ(560.0, 65.0);
+        sub.eccentricity = 0.5;
+        let direct = daily_fluence(&env(), &sub, epoch(), 600.0).unwrap_err();
+        for _ in 0..2 {
+            assert_eq!(cache.daily_fluence(&sub, epoch(), 600.0).unwrap_err(), direct);
+            assert_eq!(cache.len(), 1, "the failed key is not held");
+        }
     }
 
     #[test]

@@ -33,7 +33,7 @@ use crate::sweep::SweepSpec;
 use ssplane_astro::geo::GeoPoint;
 use ssplane_astro::par::{par_map, resolve_threads};
 use ssplane_astro::time::Epoch;
-use ssplane_core::evaluate::{plane_fluence_samples, weighted_median_fluence};
+use ssplane_core::evaluate::{plane_fluence_samples_cached, weighted_median_fluence};
 use ssplane_core::system::{
     DesignParams, DesignSummary, DesignedSystem, Designer, RgtDesigner, SlimDesigner, SsDesigner,
     StarlinkDesigner, WalkerDesigner,
@@ -54,7 +54,7 @@ use ssplane_lsn::topology::{Constellation, GridTopologyConfig, SatId};
 use ssplane_lsn::traffic::{percentile, sample_flows, Flow, TrafficReport};
 use ssplane_lsn::traffic_engine::{CapacityConfig, TrafficWorkload};
 use ssplane_lsn::LsnError;
-use ssplane_radiation::fluence::DailyFluence;
+use ssplane_radiation::fluence::{DailyFluence, FluenceCache};
 use ssplane_radiation::RadiationEnvironment;
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -75,9 +75,9 @@ const PERCOLATION_SEED_SALT: u64 = 0x5045_5243_4F4C;
 const TRAFFIC_SEED_SALT: u64 = 0x0054_5241_4646_4943;
 
 /// The synthetic demand model for a given `demand.seed`, built once per
-/// process and shared: synthesizing the 0.5° population grid is by far
-/// the most expensive per-scenario fixed cost, and it depends on nothing
-/// but the seed — so sweeps whose points agree on the seed (the common
+/// process and shared: synthesizing the 0.5° population grid is the
+/// largest per-scenario fixed cost, and it depends on nothing but the
+/// seed — so sweeps whose points agree on the seed (the common
 /// case) share one synthesis, while a `demand.seed` axis still gets a
 /// distinct model per value.
 ///
@@ -240,7 +240,7 @@ fn system_report(
     name: &str,
     sys: &DesignedSystem,
     destroyed: &[SatId],
-    env: &RadiationEnvironment,
+    fluence: &FluenceCache,
     epoch: Epoch,
     fluence_stage: bool,
     clock: &mut StageClock,
@@ -285,7 +285,13 @@ fn system_report(
     // weighted median across the constellation.
     let phases = spec.radiation.phases.max(1);
     let samples = clock.time(&format!("{name}.fluence"), || {
-        plane_fluence_samples(&sys.eval_groups, env, epoch, phases, spec.radiation.step_s)
+        plane_fluence_samples_cached(
+            &sys.eval_groups,
+            fluence,
+            epoch,
+            phases,
+            spec.radiation.step_s,
+        )
     })?;
     let median = weighted_median_fluence(&samples);
 
@@ -313,7 +319,7 @@ fn system_report(
         median_proton: median.proton,
         mean_electron: mean.electron,
         mean_proton: mean.proton,
-        solar_activity: env.solar.activity(epoch),
+        solar_activity: fluence.environment().solar.activity(epoch),
     });
 
     if spec.survivability.enabled {
@@ -1001,11 +1007,14 @@ fn percolation_report(
 }
 
 /// The scenario pipeline body, writing stage timings into `clock`.
-/// `build_threads` caps the network stage's snapshot-build workers.
+/// `build_threads` caps the network stage's snapshot-build workers;
+/// `fluence` holds the radiation environment and the fluence integrals
+/// shared with the sweep's other points.
 fn run_scenario(
     spec: &ScenarioSpec,
     clock: &mut StageClock,
     build_threads: usize,
+    fluence: &FluenceCache,
 ) -> Result<ScenarioReport> {
     spec.validate()?;
 
@@ -1025,7 +1034,6 @@ fn run_scenario(
     let multiplier = spec.demand.total_demand_b / total;
     let demand = grid.scaled(multiplier);
 
-    let env = RadiationEnvironment::default();
     let epoch = spec.radiation.epoch();
     let params = DesignParams { epoch };
 
@@ -1097,7 +1105,7 @@ fn run_scenario(
             name,
             &sys,
             &destroyed,
-            &env,
+            fluence,
             epoch,
             spec.radiation.enabled,
             clock,
@@ -1148,18 +1156,21 @@ pub fn execute_scenario(spec: &ScenarioSpec) -> Result<ScenarioReport> {
 /// run are reported). A standalone execution owns the machine, so the
 /// snapshot build may use every core.
 pub fn execute_scenario_timed(spec: &ScenarioSpec) -> (Result<ScenarioReport>, ScenarioTimings) {
-    execute_scenario_timed_with(spec, 0)
+    execute_scenario_timed_with(spec, 0, &FluenceCache::new(RadiationEnvironment::default()))
 }
 
 /// As [`execute_scenario_timed`], with the network stage's snapshot
 /// build capped at `build_threads` scoped workers (`0` = all cores) —
-/// the sweep runner passes each worker's share of the thread budget.
+/// the sweep runner passes each worker's share of the thread budget —
+/// and fluence integrals drawn from `fluence`, which the sweep's points
+/// share.
 fn execute_scenario_timed_with(
     spec: &ScenarioSpec,
     build_threads: usize,
+    fluence: &FluenceCache,
 ) -> (Result<ScenarioReport>, ScenarioTimings) {
     let mut clock = StageClock { stages: Vec::new(), metrics: Vec::new() };
-    let result = run_scenario(spec, &mut clock, build_threads);
+    let result = run_scenario(spec, &mut clock, build_threads, fluence);
     (
         result,
         ScenarioTimings { name: spec.name.clone(), stages: clock.stages, metrics: clock.metrics },
@@ -1289,6 +1300,8 @@ impl Runner {
     }
 
     /// Runs every spec, in parallel, returning outcomes in spec order.
+    /// The points share one [`FluenceCache`] for the duration of the
+    /// call, so points with equal designs integrate their fluence once.
     pub fn run_specs(&self, specs: &[ScenarioSpec]) -> SweepOutcome {
         let names: Vec<String> = specs.iter().map(|s| s.name.clone()).collect();
         let budget = resolve_threads(self.threads);
@@ -1299,10 +1312,16 @@ impl Runner {
         // lone worker passes the setting through (an explicit `--threads
         // k` still caps snapshot builds at k).
         let build_threads = if workers <= 1 { self.threads } else { (budget / workers).max(1) };
-        let (reports, timings) =
-            par_map(specs, workers, |spec| execute_scenario_timed_with(spec, build_threads))
-                .into_iter()
-                .unzip();
+        // One fluence cache per call: points that share designs share
+        // their integrals. It is dropped with the call, so a rerun of
+        // the sweep pays for its integrals again, as a fresh process
+        // would.
+        let fluence = FluenceCache::new(RadiationEnvironment::default());
+        let (reports, timings) = par_map(specs, workers, |spec| {
+            execute_scenario_timed_with(spec, build_threads, &fluence)
+        })
+        .into_iter()
+        .unzip();
         SweepOutcome { names, reports, timings }
     }
 
@@ -1365,6 +1384,28 @@ mod tests {
     }
 
     #[test]
+    fn oversized_demand_becomes_an_error_line() {
+        use crate::sweep::{SweepAxis, SweepSpec};
+        use crate::toml::TomlValue;
+        // No SS design converges on this demand: the greedy exhausts its
+        // 50,000-plane budget. With the coverage memo that takes well
+        // under a second; the point still reports, as its error line.
+        let axes = vec![SweepAxis {
+            param: "demand.total_demand_b".to_string(),
+            values: vec![TomlValue::Float(1e308)],
+        }];
+        let sweep = SweepSpec { base: ScenarioSpec::named("oversized"), axes };
+        let outcome = Runner::with_threads(1).run_sweep(&sweep).unwrap();
+        assert_eq!(outcome.ok_count(), 0);
+        let line = outcome.to_jsonl();
+        assert!(
+            line.contains("\"error\":\"") && line.contains("design did not converge"),
+            "{line}"
+        );
+        assert!(line.contains("50000 planes placed"), "{line}");
+    }
+
+    #[test]
     fn percolation_block_reports_targeted_collapse_before_random() {
         let mut spec = tiny_spec();
         spec.radiation.enabled = false;
@@ -1415,8 +1456,9 @@ mod tests {
         assert!(line.contains(r#""percolation":{"steps":32"#), "{line}");
         // Byte determinism across reruns and across thread counts.
         assert_eq!(line, execute_scenario(&spec).unwrap().to_json_line());
-        let (one, _) = execute_scenario_timed_with(&spec, 1);
-        let (many, _) = execute_scenario_timed_with(&spec, 7);
+        let fluence = FluenceCache::new(RadiationEnvironment::default());
+        let (one, _) = execute_scenario_timed_with(&spec, 1, &fluence);
+        let (many, _) = execute_scenario_timed_with(&spec, 7, &fluence);
         assert_eq!(one.unwrap().to_json_line(), many.unwrap().to_json_line());
     }
 
@@ -1481,8 +1523,9 @@ mod tests {
         assert_eq!(names, vec!["leading-planes", "random-sats", "attack"]);
         // Byte determinism across thread counts: the search and the
         // sweep share the strict index-ordered reductions.
-        let (one, _) = execute_scenario_timed_with(&spec, 1);
-        let (many, _) = execute_scenario_timed_with(&spec, 7);
+        let fluence = FluenceCache::new(RadiationEnvironment::default());
+        let (one, _) = execute_scenario_timed_with(&spec, 1, &fluence);
+        let (many, _) = execute_scenario_timed_with(&spec, 7, &fluence);
         assert_eq!(one.unwrap().to_json_line(), many.unwrap().to_json_line());
     }
 
@@ -1749,13 +1792,14 @@ mod tests {
         let mut spec = tiny_spec();
         spec.attack.planes_lost = 1;
         let sys = one_plane_system();
-        let env = RadiationEnvironment::default();
+        let fluence = FluenceCache::new(RadiationEnvironment::default());
         let epoch = spec.radiation.epoch();
         let destroyed = attack_destroyed(&spec, &sys, epoch).unwrap();
         assert_eq!(destroyed.len(), 12, "the whole plane is the whole fleet");
         let mut clock = StageClock { stages: Vec::new(), metrics: Vec::new() };
         let (report, doses) =
-            system_report(&spec, "ss", &sys, &destroyed, &env, epoch, true, &mut clock).unwrap();
+            system_report(&spec, "ss", &sys, &destroyed, &fluence, epoch, true, &mut clock)
+                .unwrap();
         let attack = report.attack.as_ref().expect("attack ran");
         assert_eq!(attack.planes_lost, 1);
         assert_eq!(attack.sats_lost, 12);
@@ -1767,7 +1811,7 @@ mod tests {
 
         spec.attack.planes_lost = 0;
         let (unharmed, _) =
-            system_report(&spec, "ss", &sys, &[], &env, epoch, true, &mut clock).unwrap();
+            system_report(&spec, "ss", &sys, &[], &fluence, epoch, true, &mut clock).unwrap();
         assert!(unharmed.attack.is_none());
         let surv = unharmed.survivability.as_ref().unwrap();
         assert!(surv.availability > 0.0);

@@ -47,17 +47,42 @@ fn same_sweep_twice_is_byte_identical() {
     assert_eq!(a.as_bytes(), b.as_bytes());
 }
 
+/// A sweep whose points all share their SS and Walker designs (the axis
+/// only moves the spare budget), so every point asks the runner's
+/// shared fluence cache for the same integrals.
+fn shared_design_sweep() -> SweepSpec {
+    let mut base = test_sweep().base;
+    base.name = "shared-designs".to_string();
+    base.radiation.phases = 2;
+    SweepSpec {
+        base,
+        axes: vec![SweepAxis {
+            param: "spares.count".to_string(),
+            values: (0..7).map(TomlValue::Int).collect(),
+        }],
+    }
+}
+
 #[test]
 fn thread_count_does_not_change_the_bytes() {
-    let sweep = test_sweep();
-    let serial = Runner::with_threads(1).run_sweep(&sweep).unwrap().to_jsonl();
-    for threads in [2, 4, 7] {
-        let parallel = Runner::with_threads(threads).run_sweep(&sweep).unwrap().to_jsonl();
-        assert_eq!(
-            serial.as_bytes(),
-            parallel.as_bytes(),
-            "thread count {threads} changed the output"
-        );
+    for sweep in [test_sweep(), shared_design_sweep()] {
+        let serial = Runner::with_threads(1).run_sweep(&sweep).unwrap().to_jsonl();
+        for threads in [2, 4, 7] {
+            let parallel = Runner::with_threads(threads).run_sweep(&sweep).unwrap().to_jsonl();
+            assert_eq!(
+                serial.as_bytes(),
+                parallel.as_bytes(),
+                "{}: thread count {threads} changed the output",
+                sweep.base.name
+            );
+        }
+    }
+    // Points sharing a design report the same fluence block.
+    let outcome = Runner::with_threads(7).run_sweep(&shared_design_sweep()).unwrap();
+    let fluence = |i: usize| &outcome.reports[i].as_ref().unwrap().system("ss").unwrap().fluence;
+    assert!(fluence(0).is_some());
+    for i in 1..outcome.reports.len() {
+        assert_eq!(fluence(i), fluence(0), "point {i}");
     }
 }
 
